@@ -153,16 +153,21 @@ def to_dot(P: Poset, name: str = "poset") -> str:
 # -- commands ------------------------------------------------------------------
 
 
+def _prefixed_verdicts(reports: list[CheckReport]) -> list[dict]:
+    out = []
+    for r in reports:
+        for v in r.verdicts:
+            d = v.as_dict()
+            d["law"] = f"{r.name}:{v.law}"
+            out.append(d)
+    return out
+
+
 def _print_reports(doc_name: str, reports: list[CheckReport], as_json: bool) -> bool:
     ok = all(r.passed for r in reports)
     if as_json:
-        verdicts = []
-        for r in reports:
-            for v in r.verdicts:
-                d = v.as_dict()
-                d["law"] = f"{r.name}:{v.law}"
-                verdicts.append(d)
-        print(json.dumps({"name": doc_name, "pass": ok, "verdicts": verdicts}))
+        print(json.dumps({"name": doc_name, "pass": ok,
+                          "verdicts": _prefixed_verdicts(reports)}))
     else:
         for r in reports:
             for line in r.lines():
@@ -232,38 +237,21 @@ def _cmd_residuation(args) -> int:
         P = doc.build()
         res = unsharp_residuation_report(P, args.all_witnesses)
         div = divisibility_report(P, args.all_witnesses)
+        lat = [lattice_relative_residuation_report(P, args.all_witnesses)] if is_lattice(P) else []
         if args.json:
             payload = res.as_dict()
             payload["name"] = doc.name
-            for v in div.verdicts:
-                d = v.as_dict()
-                d["law"] = f"{div.name}:{v.law}"
-                payload["verdicts"].append(d)
-            if is_lattice(P):
-                lat = lattice_relative_residuation_report(P, args.all_witnesses)
-                payload["pass"] = payload["pass"] and lat.passed
-                for v in lat.verdicts:
-                    d = v.as_dict()
-                    d["law"] = f"{lat.name}:{v.law}"
-                    payload["verdicts"].append(d)
+            # the top-level pass covers the lattice report but not divisibility
+            payload["pass"] = res.passed and all(r.passed for r in lat)
+            payload["verdicts"] += _prefixed_verdicts([div, *lat])
             print(json.dumps(payload))
-            ok &= payload["pass"] and div.passed
         else:
-            for v in res.verdicts:
-                marker = "PASS" if v.passed else "FAIL"
-                extra = ""
-                if v.witnesses:
-                    extra = "  witness " + ", ".join(
-                        "(" + ",".join(w) + ")" for w in v.witnesses
-                    )
-                print(f"[{res.name}] {marker} {v.law}{extra}")
+            _print_reports(doc.name, [res], False)
             if res.readings_diverge:
                 print("[unsharp-residuation] NOTE monotone readings diverge "
                       "(per-member holds, single-dominator fails)")
-            reports = [div]
-            if is_lattice(P):
-                reports.append(lattice_relative_residuation_report(P, args.all_witnesses))
-            ok &= _print_reports(doc.name, reports, False) and res.passed
+            _print_reports(doc.name, [div, *lat], False)
+        ok &= res.passed and div.passed and all(r.passed for r in lat)
     return 0 if ok else 1
 
 

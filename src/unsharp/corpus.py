@@ -88,18 +88,12 @@ def _relabel(up: tuple[int, ...], perm: tuple[int, ...], n: int) -> tuple[int, .
     return tuple(rows)
 
 
-def enumerate_posets(n: int, dedup: str = "labeled", force: bool = False) -> Iterator[Poset]:
-    """Stream of posets on n elements: every labeled one, or one per isomorphism class."""
-    if dedup == "labeled":
-        _guard(n, force)
-        labels = tuple(LABELS[:n])
-        for up in _labeled_relations(n):
-            yield Poset(labels, up, validate=False)
-    elif dedup == "canonical":
-        for P, _orbit in enumerate_canonical(n, force=force):
-            yield P
-    else:
-        raise ValueError(f"dedup must be 'labeled' or 'canonical', got {dedup!r}")
+def enumerate_posets(n: int, force: bool = False) -> Iterator[Poset]:
+    """Stream of every labeled poset on n elements."""
+    _guard(n, force)
+    labels = tuple(LABELS[:n])
+    for up in _labeled_relations(n):
+        yield Poset(labels, up, validate=False)
 
 
 def enumerate_canonical(n: int, force: bool = False) -> Iterator[tuple[Poset, int]]:

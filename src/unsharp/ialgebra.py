@@ -20,11 +20,11 @@ from .errors import (
     NonSingletonSection,
     OrderAxiomFailure,
     SectionMismatch,
+    UnknownLabel,
 )
 from .order import Poset, iter_bits
 from .reports import CheckReport
 from .sections import SectionTable, section_pseudocomplement, section_table
-from .operators import _implication_cells
 
 AXIOMS = (
     "unit",            # x -> x = x -> 1 = 1
@@ -62,7 +62,10 @@ class IAlgebra:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise UnknownLabel(f"unknown label {label!r}") from None
 
     def with_cell(self, x: int, y: int, value) -> "IAlgebra":
         """Copy of the algebra with one cell replaced (for mutation testing)."""
@@ -162,9 +165,7 @@ def axioms_report(A: IAlgebra, laws=None, all_witnesses: bool = False) -> CheckR
 
 def algebra_of(P: Poset) -> IAlgebra:
     """Arrow table of a poset with pseudocomplemented sections; unit is the top."""
-    table = section_table(P)
-    cells = _implication_cells(P, table)
-    return IAlgebra(P.labels, tuple(tuple(row) for row in cells), P.top)
+    return IAlgebra(P.labels, section_table(P).arrow_sets(), P.top)
 
 
 def poset_of(A: IAlgebra) -> tuple[Poset, SectionTable]:
@@ -237,7 +238,7 @@ def roundtrip_check(obj, all_witnesses: bool = False) -> CheckReport:
 
 def _roundtrip_poset(P: Poset, all_witnesses: bool) -> CheckReport:
     table = section_table(P)
-    back, back_table = poset_of(algebra_of(P))
+    back, back_table = poset_of(IAlgebra(P.labels, table.arrow_sets(), P.top))
     report = CheckReport("poset-roundtrip")
 
     def order():
@@ -260,8 +261,8 @@ def _roundtrip_poset(P: Poset, all_witnesses: bool) -> CheckReport:
 
 
 def _roundtrip_algebra(A: IAlgebra, all_witnesses: bool) -> CheckReport:
-    P, _ = poset_of(A)
-    back = algebra_of(P)
+    P, table = poset_of(A)  # a complete table: every cell below the diagonal was checked
+    back = IAlgebra(P.labels, table.arrow_sets(), P.top)
     report = CheckReport("algebra-roundtrip")
 
     def to_labels(w):

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyOperand, NotPseudocomplementedSections, NoTopElement
-from .order import Poset, is_lattice, iter_bits
+from .order import Poset, iter_bits
 from .reports import CheckReport
 from .sections import (
-    SectionTable,
     relative_pseudocomplement,
     section_pseudocomplement,
     section_table,
@@ -82,37 +81,19 @@ def downset_conjunction(P: Poset, A, B) -> tuple[int, ...]:
     operands, and is associative, because the down-closure of the
     maximal elements of a down-set is that down-set again.
     """
-    da = 0
-    for a in A:
-        da |= P.down[a]
-    db = 0
-    for b in B:
-        db |= P.down[b]
+    da = P.down_closure(P.mask_of(A))
+    db = P.down_closure(P.mask_of(B))
     return P.set_of(P.max_mask(da & db))
-
-
-def _implication_cells(P: Poset, table: SectionTable) -> list[list[frozenset[int]]]:
-    cells = []
-    for x in range(P.n):
-        row = []
-        for y in range(P.n):
-            out = set()
-            for m in iter_bits(P.min_mask(P.up[x] & P.up[y])):
-                out.add(table.entries[(m, y)])
-            row.append(frozenset(out))
-        cells.append(row)
-    return cells
 
 
 def operator_table(P: Poset, kind: str) -> OperatorTable:
     """Full n x n table for one of the operator kinds in ``KINDS``."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    cells: list[list[frozenset[int] | None]] = []
     if kind == "imp":
-        table = section_table(P)
-        cells = [list(row) for row in _implication_cells(P, table)]
-    elif kind == "xy":
+        return OperatorTable(P, kind, section_table(P).arrow_sets())
+    cells: list[list[frozenset[int] | None]] = []
+    if kind == "xy":
         if P.top is None:
             raise NoTopElement("section tables require a top element")
         for x in range(P.n):
@@ -141,11 +122,6 @@ def operator_table(P: Poset, kind: str) -> OperatorTable:
     return OperatorTable(P, kind, tuple(tuple(row) for row in cells))
 
 
-def _set_le(P: Poset, A, B) -> bool:
-    # every member of A below every member of B
-    return all(P.le(a, b) for a in A for b in B)
-
-
 def implication_properties_report(P: Poset, all_witnesses: bool = False) -> CheckReport:
     """Law suite for the implication operator.
 
@@ -153,66 +129,60 @@ def implication_properties_report(P: Poset, all_witnesses: bool = False) -> Chec
     join exists; everything else is quantified over the whole carrier.
     """
     table = section_table(P)
-    cells = _implication_cells(P, table)
+    arrow, joins, entries = table.arrow, table.join, table.entries
     top = P.top
-    unit = frozenset((top,))
-    joins = [[P.join(a, b) for b in range(P.n)] for a in range(P.n)]
+    unit = 1 << top
     report = CheckReport("implication-properties")
-
-    def lift(cell: frozenset[int], y: int) -> frozenset[int]:
-        out: set[int] = set()
-        for w in cell:
-            out |= cells[w][y]
-        return frozenset(out)
 
     def arrow_from_join():
         for a in range(P.n):
             for b in range(P.n):
                 j = joins[a][b]
-                if j is not None and cells[a][b] != frozenset((table.entries[(j, b)],)):
+                if j is not None and arrow[a][b] != 1 << entries[(j, b)]:
                     yield (a, b)
 
     def arrow_restricts_to_section():
         for a in range(P.n):
             for b in iter_bits(P.down[a]):
-                if cells[a][b] != frozenset((table.entries[(a, b)],)):
+                if arrow[a][b] != 1 << entries[(a, b)]:
                     yield (a, b)
 
     def order_reflection():
         for a in range(P.n):
             for b in range(P.n):
-                if P.le(a, b) != (cells[a][b] == unit):
+                if P.le(a, b) != (arrow[a][b] == unit):
                     yield (a, b)
 
     def join_absorption():
         for a in range(P.n):
             for b in range(P.n):
                 j = joins[a][b]
-                if j is not None and cells[j][b] != cells[a][b]:
+                if j is not None and arrow[j][b] != arrow[a][b]:
                     yield (a, b)
 
     def unit_arrow_identity():
         for a in range(P.n):
-            if cells[top][a] != frozenset((a,)):
+            if arrow[top][a] != 1 << a:
                 yield (a,)
 
     def weakening_bound():
         for a in range(P.n):
             for b in range(P.n):
-                if not all(P.le(a, w) for w in cells[b][a]):
+                if arrow[b][a] & ~P.up[a]:
                     yield (a, b)
 
     def weakening_law():
         for a in range(P.n):
             for b in range(P.n):
-                if any(cells[a][w] != unit for w in cells[b][a]):
+                if any(arrow[a][w] != unit for w in iter_bits(arrow[b][a])):
                     yield (a, b)
 
     def antitone_in_premise():
+        # every member of b -> c below every member of a -> c
         for a in range(P.n):
             for b in iter_bits(P.up[a]):
                 for c in range(P.n):
-                    if joins[a][c] is not None and not _set_le(P, cells[b][c], cells[a][c]):
+                    if joins[a][c] is not None and arrow[a][c] & ~P.upper_mask(arrow[b][c]):
                         yield (a, b, c)
 
     def double_arrow_expansion():
@@ -220,7 +190,7 @@ def implication_properties_report(P: Poset, all_witnesses: bool = False) -> Chec
             for b in range(P.n):
                 if joins[a][b] is None:
                     continue
-                if not all(P.le(a, w) for w in lift(cells[a][b], b)):
+                if table.arrow_image(arrow[a][b], b) & ~P.up[a]:
                     yield (a, b)
 
     def triple_arrow_collapse():
@@ -228,7 +198,8 @@ def implication_properties_report(P: Poset, all_witnesses: bool = False) -> Chec
             for b in range(P.n):
                 if joins[a][b] is None:
                     continue
-                if cells[a][b] != lift(lift(cells[a][b], b), b):
+                twice = table.arrow_image(table.arrow_image(arrow[a][b], b), b)
+                if arrow[a][b] != twice:
                     yield (a, b)
 
     report.run_law("arrow-from-join", arrow_from_join(), P.labels_of, all_witnesses)
@@ -242,17 +213,3 @@ def implication_properties_report(P: Poset, all_witnesses: bool = False) -> Chec
     report.run_law("double-arrow-expansion", double_arrow_expansion(), P.labels_of, all_witnesses)
     report.run_law("triple-arrow-collapse", triple_arrow_collapse(), P.labels_of, all_witnesses)
     return report
-
-
-def lattice_collapse_holds(P: Poset) -> bool:
-    """On lattices all operator cells are singletons and conjunction is meet."""
-    if not is_lattice(P):
-        return True
-    for x in range(P.n):
-        for y in range(P.n):
-            c = conjunction(P, x, y)
-            if len(c) != 1 or c[0] != P.meet(x, y):
-                return False
-            if len(implication(P, x, y)) != 1:
-                return False
-    return True

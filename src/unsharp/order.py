@@ -142,6 +142,13 @@ class Poset:
             out &= self.up[a]
         return out
 
+    def down_closure(self, mask: int) -> int:
+        """Everything below some element of ``mask``."""
+        out = 0
+        for a in iter_bits(mask):
+            out |= self.down[a]
+        return out
+
     def min_mask(self, mask: int) -> int:
         out = 0
         for a in iter_bits(mask):

@@ -10,86 +10,42 @@ divergences between the readings are surfaced, not treated as
 failures.
 
 Associativity is checked with the down-set lift of the conjunction
-(``downset_conjunction``); the cone lift is not associative.
+(the one ``downset_conjunction`` computes); the cone lift is not
+associative.  All checks read the mask tables of ``section_table``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotALattice, NotPseudocomplementedSections
+from .errors import NotALattice
 from .order import Poset, is_lattice, iter_bits
-from .reports import CheckReport, Verdict
-from .operators import _implication_cells, downset_conjunction
-from .sections import section_table
+from .reports import CheckReport
+from .sections import SectionTable, section_table
 
 
-@dataclass
-class ResiduationReport:
-    name: str
-    commutative: Verdict
-    associative: Verdict
-    unit: Verdict
-    monotone: Verdict
-    monotone_dominant: Verdict
-    adjoint: Verdict
-    divisible: Verdict
-
-    @property
-    def verdicts(self) -> list[Verdict]:
-        return [
-            self.commutative,
-            self.associative,
-            self.unit,
-            self.monotone,
-            self.monotone_dominant,
-            self.adjoint,
-            self.divisible,
-        ]
+class ResiduationReport(CheckReport):
+    """The unsharp residuation verdicts; ``monotone-dominant`` is recorded, not required."""
 
     @property
     def passed(self) -> bool:
-        """Overall verdict; the dominant reading is recorded, not required."""
-        return all(
-            v.passed for v in self.verdicts if v is not self.monotone_dominant
-        )
+        return all(v.passed for v in self.verdicts if v.law != "monotone-dominant")
 
     @property
     def readings_diverge(self) -> bool:
-        return self.monotone.passed and not self.monotone_dominant.passed
+        return self.verdict("monotone").passed and not self.verdict("monotone-dominant").passed
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pass": self.passed,
-            "readings-diverge": self.readings_diverge,
-            "verdicts": [v.as_dict() for v in self.verdicts],
-        }
-
-
-def _conj_masks(P: Poset) -> list[list[int]]:
-    return [
-        [P.max_mask(P.down[x] & P.down[y]) for y in range(P.n)]
-        for x in range(P.n)
-    ]
-
-
-def _verdict(law, gen, to_labels, all_witnesses: bool) -> Verdict:
-    found = []
-    for w in gen:
-        found.append(to_labels(w))
-        if not all_witnesses:
-            break
-    return Verdict(law, not found, tuple(found))
+        out = super().as_dict()
+        return {"name": out["name"], "pass": out["pass"],
+                "readings-diverge": self.readings_diverge, "verdicts": out["verdicts"]}
 
 
 def unsharp_residuation_report(P: Poset, all_witnesses: bool = False) -> ResiduationReport:
     """Evaluate the residuation conditions on a poset with pseudocomplemented sections."""
     table = section_table(P)  # raises NoTopElement / NotPseudocomplementedSections
-    imp = _implication_cells(P, table)
-    conj = _conj_masks(P)
+    imp, conj = table.arrow, table.conj
     top = P.top
     n = P.n
+    report = ResiduationReport("unsharp-residuation")
 
     def commutative():
         for x in range(n):
@@ -98,12 +54,14 @@ def unsharp_residuation_report(P: Poset, all_witnesses: bool = False) -> Residua
                     yield (x, y)
 
     def associative():
+        # (x (.) y) (.) z against x (.) (y (.) z) under the down-set lift: each
+        # side is the maximal elements of a down-set, so the sides agree
+        # exactly when the down-sets do
+        below = [[P.down_closure(cell) for cell in row] for row in conj]
         for x in range(n):
             for y in range(n):
                 for z in range(n):
-                    left = downset_conjunction(P, downset_conjunction(P, (x,), (y,)), (z,))
-                    right = downset_conjunction(P, (x,), downset_conjunction(P, (y,), (z,)))
-                    if left != right:
+                    if below[x][y] & P.down[z] != P.down[x] & below[y][z]:
                         yield (x, y, z)
 
     def unit():
@@ -141,64 +99,44 @@ def unsharp_residuation_report(P: Poset, all_witnesses: bool = False) -> Residua
                 cell = conj[x][y]
                 for z in range(n):
                     member = bool(cell >> z & 1)
-                    cond = (
-                        P.le(z, x)
-                        and P.le(z, y)
-                        and all(P.le(x, w) for w in imp[y][z])
-                    )
+                    cond = P.le(z, x) and P.le(z, y) and not imp[y][z] & ~P.up[x]
                     if member != cond:
                         yield (x, y, z)
 
-    def divisible():
-        for w in _divisibility_failures(P, imp, conj):
-            yield w
-
-    def mk(law, gen):
-        return _verdict(law, gen(), P.labels_of, all_witnesses)
-
-    return ResiduationReport(
-        name="unsharp-residuation",
-        commutative=mk("commutative", commutative),
-        associative=mk("associative", associative),
-        unit=mk("unit", unit),
-        monotone=mk("monotone", monotone),
-        monotone_dominant=mk("monotone-dominant", monotone_dominant),
-        adjoint=mk("adjoint", adjoint),
-        divisible=mk("divisible", divisible),
-    )
+    report.run_law("commutative", commutative(), P.labels_of, all_witnesses)
+    report.run_law("associative", associative(), P.labels_of, all_witnesses)
+    report.run_law("unit", unit(), P.labels_of, all_witnesses)
+    report.run_law("monotone", monotone(), P.labels_of, all_witnesses)
+    report.run_law("monotone-dominant", monotone_dominant(), P.labels_of, all_witnesses)
+    report.run_law("adjoint", adjoint(), P.labels_of, all_witnesses)
+    report.run_law("divisible", _divisibility_failures(table), P.labels_of, all_witnesses)
+    return report
 
 
-def _divisibility_failures(P: Poset, imp, conj):
+def _divisibility_failures(table: SectionTable):
+    P, imp, conj = table.poset, table.arrow, table.conj
     for y in range(P.n):
         for x in iter_bits(P.up[y]):
             cell = imp[x][y]
-            if len(cell) != 1:
+            if cell & (cell - 1):
                 yield (x, y)
-                continue
-            s = next(iter(cell))
-            if P.max_mask(P.down[x] & P.down[s]) & P.up[y] != 1 << y:
+            elif conj[x][cell.bit_length() - 1] & P.up[y] != 1 << y:
                 yield (x, y)
 
 
 def divisibility_report(P: Poset, all_witnesses: bool = False) -> CheckReport:
     """For y <= x: the arrow cell is a singleton {x^y} and x (.) x^y meets [y,1] in {y}."""
     table = section_table(P)
-    imp = _implication_cells(P, table)
-    conj = _conj_masks(P)
     report = CheckReport("divisibility")
 
     def singleton():
         for y in range(P.n):
             for x in iter_bits(P.up[y]):
-                if imp[x][y] != frozenset((table.entries[(x, y)],)):
+                if table.arrow[x][y] != 1 << table.entries[(x, y)]:
                     yield (x, y)
 
-    def section_recovery():
-        for w in _divisibility_failures(P, imp, conj):
-            yield w
-
     report.run_law("arrow-singleton", singleton(), P.labels_of, all_witnesses)
-    report.run_law("section-recovery", section_recovery(), P.labels_of, all_witnesses)
+    report.run_law("section-recovery", _divisibility_failures(table), P.labels_of, all_witnesses)
     return report
 
 
@@ -212,16 +150,9 @@ def lattice_relative_residuation_report(P: Poset, all_witnesses: bool = False) -
     if not is_lattice(P):
         raise NotALattice("the relative residuation check needs a lattice")
     table = section_table(P)
-    imp_cells = _implication_cells(P, table)
-    for x in range(P.n):
-        for y in range(P.n):
-            if len(imp_cells[x][y]) != 1:
-                raise NotPseudocomplementedSections(
-                    "implication cells must be singletons on a lattice"
-                )
-    imp = [[next(iter(imp_cells[x][y])) for y in range(P.n)] for x in range(P.n)]
-    join = [[P.join(x, y) for y in range(P.n)] for x in range(P.n)]
-    meet = [[P.meet(x, y) for y in range(P.n)] for x in range(P.n)]
+    # on a lattice Min U(x,y) is the join alone, so every arrow cell is a singleton
+    imp = [[cell.bit_length() - 1 for cell in row] for row in table.arrow]
+    join, meet = table.join, table.meet
     n = P.n
     report = CheckReport("relative-residuation")
 
@@ -264,7 +195,7 @@ def lattice_relative_residuation_report(P: Poset, all_witnesses: bool = False) -
     def meet_collapse():
         for x in range(n):
             for y in range(n):
-                if P.max_mask(P.down[x] & P.down[y]) != 1 << meet[x][y]:
+                if table.conj[x][y] != 1 << meet[x][y]:
                     yield (x, y)
 
     v_ii = report.run_law("multiplication-monotone", multiplication_monotone(), P.labels_of, all_witnesses)

@@ -9,6 +9,7 @@ double negation (the Glivenko construction).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     NoBottomElement,
@@ -26,7 +27,11 @@ class SectionTable:
 
     Entries exist exactly for the pairs where y <= x and the
     pseudocomplement exists; the undefined cells are the dashes of the
-    printed tables.
+    printed tables.  A complete table (every section pseudocomplemented)
+    also carries the structures derived from it, each an n x n grid
+    computed once on first use: the implication cells ``arrow`` and the
+    conjunction cells ``conj`` as element bitmasks, and the pairwise
+    ``join`` and ``meet`` (None where absent).
     """
 
     poset: Poset
@@ -40,6 +45,53 @@ class SectionTable:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def arrow(self) -> tuple[tuple[int, ...], ...]:
+        """x -> y: the section pseudocomplements against y of Min U(x,y)."""
+        P, entries = self.poset, self.entries
+        rows = []
+        for x in range(P.n):
+            row = []
+            for y in range(P.n):
+                cell = 0
+                for m in iter_bits(P.min_mask(P.up[x] & P.up[y])):
+                    cell |= 1 << entries[(m, y)]
+                row.append(cell)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def conj(self) -> tuple[tuple[int, ...], ...]:
+        """x (.) y: the maximal common lower bounds Max L(x,y)."""
+        P = self.poset
+        return tuple(
+            tuple(P.max_mask(P.down[x] & P.down[y]) for y in range(P.n))
+            for x in range(P.n)
+        )
+
+    @cached_property
+    def join(self) -> tuple[tuple[int | None, ...], ...]:
+        P = self.poset
+        return tuple(tuple(P.join(x, y) for y in range(P.n)) for x in range(P.n))
+
+    @cached_property
+    def meet(self) -> tuple[tuple[int | None, ...], ...]:
+        P = self.poset
+        return tuple(tuple(P.meet(x, y) for y in range(P.n)) for x in range(P.n))
+
+    def arrow_image(self, mask: int, y: int) -> int:
+        """Union of the cells w -> y over the members w of ``mask``."""
+        out = 0
+        for w in iter_bits(mask):
+            out |= self.arrow[w][y]
+        return out
+
+    def arrow_sets(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """The implication cells as frozensets, the form the public tables carry."""
+        return tuple(
+            tuple(frozenset(iter_bits(cell)) for cell in row) for row in self.arrow
+        )
 
 
 def section_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
@@ -175,15 +227,14 @@ def negation_laws_report(P: Poset, all_witnesses: bool = False) -> CheckReport:
     """Negation laws on a bounded poset with pseudocomplemented sections:
     bounds swap, antitonicity, x <= not not x, triple-negation collapse,
     and contraposition through the implication operator."""
-    from .operators import implication  # local import; operators builds on this module
-
     if P.bottom is None:
         raise NoBottomElement("negation laws require a bottom element")
-    if not has_pseudocomplemented_sections(P):
+    _, table = verify_pseudocomplemented_sections(P)
+    if table is None:
         raise NotPseudocomplementedSections(
             "negation laws require pseudocomplemented sections"
         )
-    neg = negation_map(P)
+    neg = tuple(table.entries[(x, P.bottom)] for x in range(P.n))
     top = P.top
     report = CheckReport("negation-laws")
 
@@ -208,10 +259,10 @@ def negation_laws_report(P: Poset, all_witnesses: bool = False) -> CheckReport:
                 yield (x,)
 
     def contraposition():
-        unit = (top,)
+        arrow, unit = table.arrow, 1 << top
         for x in range(P.n):
             for y in range(P.n):
-                if implication(P, x, y) == unit and implication(P, neg[y], neg[x]) != unit:
+                if arrow[x][y] == unit and arrow[neg[y]][neg[x]] != unit:
                     yield (x, y)
 
     report.run_law("bounds-swap", bounds_swap(), P.labels_of, all_witnesses)

@@ -132,7 +132,7 @@ def _theorem_failures(corpus):
             failures.append(("missing-reading", P.up))
         if res.readings_diverge:
             diverged += 1
-            if not res.monotone_dominant.witnesses:
+            if not res.verdict("monotone-dominant").witnesses:
                 failures.append(("unsurfaced-divergence", P.up))
         if not divisibility_report(P).passed:
             failures.append(("divisibility", P.up))

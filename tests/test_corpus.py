@@ -64,11 +64,6 @@ def test_canonical_class_counts():
     assert [len(list(enumerate_canonical(n))) for n in range(1, 5)] == [1, 2, 5, 16]
 
 
-def test_dedup_mode_validation():
-    with pytest.raises(ValueError):
-        list(enumerate_posets(3, dedup="bogus"))
-
-
 def test_size_guards():
     with pytest.raises(SizeLimitExceeded):
         list(enumerate_posets(0))

@@ -7,6 +7,7 @@ from unsharp import (
     NotPseudocomplementedSections,
     OrderAxiomFailure,
     SectionMismatch,
+    UnknownLabel,
     algebra_of,
     axioms_report,
     poset_of,
@@ -147,3 +148,10 @@ def test_roundtrip_reports_arrow_divergence(pentagon):
     report = roundtrip_check(mutant)
     assert not report.passed
     assert not report.verdict("arrow").passed
+
+
+def test_index_rejects_unknown_label(pentagon):
+    A = algebra_of(pentagon)
+    assert A.index(pentagon.labels[2]) == 2
+    with pytest.raises(UnknownLabel):
+        A.index("nowhere")

@@ -15,19 +15,21 @@ from unsharp import (
 def test_crown_tail_passes(crown_tail):
     report = unsharp_residuation_report(crown_tail)
     assert report.passed
-    assert report.commutative.passed and report.associative.passed and report.unit.passed
-    assert report.monotone.passed and report.adjoint.passed and report.divisible.passed
+    assert (report.verdict("commutative").passed and report.verdict("associative").passed
+            and report.verdict("unit").passed)
+    assert (report.verdict("monotone").passed and report.verdict("adjoint").passed
+            and report.verdict("divisible").passed)
 
 
 def test_dominant_reading_fails_exactly_where_cells_split(crown_tail, pentagon):
     # d (.) e = {b,c} is an antichain, so no single dominator exists at x = y = d
     report = unsharp_residuation_report(crown_tail)
-    assert not report.monotone_dominant.passed
+    assert not report.verdict("monotone-dominant").passed
     assert report.readings_diverge
     assert report.passed  # the recorded reading does not gate the verdict
     # on a lattice every cell is a singleton and the readings agree
     lattice_report = unsharp_residuation_report(pentagon)
-    assert lattice_report.monotone_dominant.passed
+    assert lattice_report.verdict("monotone-dominant").passed
     assert not lattice_report.readings_diverge
 
 
@@ -89,7 +91,7 @@ def test_strong_reading_counterexample_at_five_elements():
     )
     report = unsharp_residuation_report(P)
     assert report.passed
-    assert not report.monotone_dominant.passed
+    assert not report.verdict("monotone-dominant").passed
     assert report.readings_diverge
     x, z = P.index("x"), P.index("z")
     assert set(conjunction(P, x, z)) == {P.index("p"), P.index("q")}

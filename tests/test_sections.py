@@ -16,7 +16,12 @@ from unsharp import (
     verify_pseudocomplemented_sections,
 )
 
-from conftest import naive_section_pc, naive_section_pc_inside
+from conftest import (
+    naive_conjunction,
+    naive_implication,
+    naive_section_pc,
+    naive_section_pc_inside,
+)
 from reference_tables import CROWN_TAIL_XY, CROWN_XY, PENTAGON_XY
 from test_order import posets
 
@@ -188,3 +193,13 @@ def test_section_pc_matches_both_oracles(P):
             if P.le(y, x):
                 # the whole-carrier search and the in-section search agree
                 assert got == naive_section_pc_inside(P, x, y)
+
+
+def test_mask_tables_match_oracles(pc_corpus):
+    for P, table in pc_corpus:
+        for x in range(P.n):
+            for y in range(P.n):
+                assert table.arrow[x][y] == P.mask_of(naive_implication(P, x, y))
+                assert table.conj[x][y] == P.mask_of(naive_conjunction(P, x, y))
+                assert table.join[x][y] == P.join(x, y)
+                assert table.meet[x][y] == P.meet(x, y)
