@@ -238,11 +238,11 @@ def _cmd_residuation(args) -> int:
         res = unsharp_residuation_report(P, args.all_witnesses)
         div = divisibility_report(P, args.all_witnesses)
         lat = [lattice_relative_residuation_report(P, args.all_witnesses)] if is_lattice(P) else []
+        passed = res.passed and div.passed and all(r.passed for r in lat)
         if args.json:
             payload = res.as_dict()
             payload["name"] = doc.name
-            # the top-level pass covers the lattice report but not divisibility
-            payload["pass"] = res.passed and all(r.passed for r in lat)
+            payload["pass"] = passed
             payload["verdicts"] += _prefixed_verdicts([div, *lat])
             print(json.dumps(payload))
         else:
@@ -251,7 +251,7 @@ def _cmd_residuation(args) -> int:
                 print("[unsharp-residuation] NOTE monotone readings diverge "
                       "(per-member holds, single-dominator fails)")
             _print_reports(doc.name, [div, *lat], False)
-        ok &= res.passed and div.passed and all(r.passed for r in lat)
+        ok &= passed
     return 0 if ok else 1
 
 

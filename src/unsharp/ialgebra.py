@@ -8,12 +8,15 @@ and ``roundtrip_check`` certifies the inversion on concrete instances.
 
 Inside axioms, "cell = 1" means the cell is exactly {unit}, and an
 arrow applied to an inner set is required to hit {unit} for every
-member of that set.
+member of that set.  The checker and the translations read the table
+through the masks an algebra derives once: its cells as element
+bitmasks and the unit relation x -> y = 1 as bitmask rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DuplicateLabel,
@@ -67,11 +70,36 @@ class IAlgebra:
         except ValueError:
             raise UnknownLabel(f"unknown label {label!r}") from None
 
+    def labels_of(self, elems) -> tuple[str, ...]:
+        return tuple(self.labels[e] for e in elems)
+
     def with_cell(self, x: int, y: int, value) -> "IAlgebra":
         """Copy of the algebra with one cell replaced (for mutation testing)."""
         rows = [list(row) for row in self.arrow]
         rows[x][y] = frozenset(value)
         return IAlgebra(self.labels, tuple(tuple(r) for r in rows), self.unit)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """The arrow cells as element bitmasks."""
+        return tuple(
+            tuple(sum(1 << v for v in cell) for cell in row) for row in self.arrow
+        )
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """The unit relation: bit y of row x is set iff x -> y = 1."""
+        one = 1 << self.unit
+        return tuple(
+            sum(1 << y for y, cell in enumerate(row) if cell == one) for row in self.cells
+        )
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """The transpose of ``up``: bit x of row y is set iff x -> y = 1."""
+        return tuple(
+            sum(1 << x for x, row in enumerate(self.up) if row >> y & 1) for y in range(self.n)
+        )
 
 
 def axioms_report(A: IAlgebra, laws=None, all_witnesses: bool = False) -> CheckReport:
@@ -80,73 +108,48 @@ def axioms_report(A: IAlgebra, laws=None, all_witnesses: bool = False) -> CheckR
     ``laws`` restricts the check to a subset of ``AXIOMS`` (in that
     order); by default all six run.
     """
-    n, arrow = A.n, A.arrow
-    unit = frozenset((A.unit,))
-    le = [[arrow[x][y] == unit for y in range(n)] for x in range(n)]
-    labels = A.labels
-
-    def to_labels(w):
-        return tuple(labels[i] for i in w)
+    n, cells, up, down = A.n, A.cells, A.up, A.down
 
     def unit_law():
         for x in range(n):
-            if arrow[x][x] != unit or arrow[x][A.unit] != unit:
+            if not (up[x] >> x & 1 and up[x] >> A.unit & 1):
                 yield (x,)
 
     def antisymmetry():
         for x in range(n):
-            for y in range(n):
-                if x != y and le[x][y] and le[y][x]:
-                    yield (x, y)
+            for y in iter_bits(up[x] & down[x] & ~(1 << x)):
+                yield (x, y)
 
     def transitivity():
         for x in range(n):
-            for y in range(n):
-                if not le[x][y]:
-                    continue
-                for z in range(n):
-                    if le[y][z] and not le[x][z]:
-                        yield (x, y, z)
+            for y in iter_bits(up[x]):
+                for z in iter_bits(up[y] & ~up[x]):
+                    yield (x, y, z)
 
     def minimality():
         for x in range(n):
             for y in range(n):
-                for z in range(n):
-                    if z == y or not (le[y][z] and le[z][x]):
-                        continue
-                    if all(le[z][w] for w in arrow[x][y]):
+                for z in iter_bits(up[y] & down[x] & ~(1 << y)):
+                    if not cells[x][y] & ~up[z]:
                         yield (x, y, z)
 
     def adjointness():
         for y in range(n):
-            for x in range(n):
-                if not le[y][x]:
-                    continue
-                for u in range(n):
-                    if not le[y][u]:
-                        continue
-                    if any(
-                        z != y and le[y][z] and le[z][x] and le[z][u]
-                        for z in range(n)
-                    ):
-                        continue
-                    if not all(le[u][w] for w in arrow[x][y]):
+            for x in iter_bits(up[y]):
+                strictly_between = up[y] & down[x] & ~(1 << y)
+                for u in iter_bits(up[y]):
+                    if not strictly_between & down[u] and cells[x][y] & ~up[u]:
                         yield (x, y, u)
 
     def reconstruction():
         for x in range(n):
             for y in range(n):
-                image: set[int] = set()
-                for z in range(n):
-                    if not (le[x][z] and le[y][z]):
-                        continue
-                    if any(
-                        u != z and le[x][u] and le[y][u] and le[u][z]
-                        for u in range(n)
-                    ):
-                        continue
-                    image |= arrow[z][y]
-                if arrow[x][y] != image:
+                ub = up[x] & up[y]
+                image = 0
+                for z in iter_bits(ub):
+                    if not down[z] & ub & ~(1 << z):
+                        image |= cells[z][y]
+                if cells[x][y] != image:
                     yield (x, y)
 
     generators = {
@@ -159,13 +162,18 @@ def axioms_report(A: IAlgebra, laws=None, all_witnesses: bool = False) -> CheckR
     }
     report = CheckReport("algebra-axioms")
     for law in laws if laws is not None else AXIOMS:
-        report.run_law(law, generators[law](), to_labels, all_witnesses)
+        report.run_law(law, generators[law](), A.labels_of, all_witnesses)
     return report
 
 
 def algebra_of(P: Poset) -> IAlgebra:
     """Arrow table of a poset with pseudocomplemented sections; unit is the top."""
-    return IAlgebra(P.labels, section_table(P).arrow_sets(), P.top)
+    return _algebra_of_table(section_table(P))
+
+
+def _algebra_of_table(table: SectionTable) -> IAlgebra:
+    P = table.poset
+    return IAlgebra(P.labels, table.arrow_sets(), P.top)
 
 
 def poset_of(A: IAlgebra) -> tuple[Poset, SectionTable]:
@@ -177,13 +185,7 @@ def poset_of(A: IAlgebra) -> tuple[Poset, SectionTable]:
     singletons must agree with the pseudocomplements recomputed from
     the rebuilt order.
     """
-    n, arrow = A.n, A.arrow
-    unit_cell = frozenset((A.unit,))
-    up = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if arrow[x][y] == unit_cell:
-                up[x] |= 1 << y
+    n, cells, up = A.n, A.cells, A.up
     for x in range(n):
         if not up[x] >> x & 1:
             raise OrderAxiomFailure(f"relation is not reflexive at {A.labels[x]}")
@@ -206,12 +208,12 @@ def poset_of(A: IAlgebra) -> tuple[Poset, SectionTable]:
     entries: dict[tuple[int, int], int] = {}
     for x in range(n):
         for y in iter_bits(P.down[x]):
-            cell = arrow[x][y]
-            if len(cell) != 1:
+            cell = cells[x][y]
+            if cell & (cell - 1):
                 raise NonSingletonSection(
                     f"cell ({A.labels[x]},{A.labels[y]}) must be a singleton"
                 )
-            entries[(x, y)] = next(iter(cell))
+            entries[(x, y)] = cell.bit_length() - 1
     for (x, y), z in entries.items():
         recomputed = section_pseudocomplement(P, x, y)
         if recomputed != z:
@@ -238,14 +240,13 @@ def roundtrip_check(obj, all_witnesses: bool = False) -> CheckReport:
 
 def _roundtrip_poset(P: Poset, all_witnesses: bool) -> CheckReport:
     table = section_table(P)
-    back, back_table = poset_of(IAlgebra(P.labels, table.arrow_sets(), P.top))
+    back, back_table = poset_of(_algebra_of_table(table))
     report = CheckReport("poset-roundtrip")
 
     def order():
         for x in range(P.n):
-            for y in range(P.n):
-                if P.le(x, y) != back.le(x, y):
-                    yield (x, y)
+            for y in iter_bits(P.up[x] ^ back.up[x]):
+                yield (x, y)
 
     def sections():
         keys = set(table.entries) | set(back_table.entries)
@@ -262,24 +263,20 @@ def _roundtrip_poset(P: Poset, all_witnesses: bool) -> CheckReport:
 
 def _roundtrip_algebra(A: IAlgebra, all_witnesses: bool) -> CheckReport:
     P, table = poset_of(A)  # a complete table: every cell below the diagonal was checked
-    back = IAlgebra(P.labels, table.arrow_sets(), P.top)
     report = CheckReport("algebra-roundtrip")
 
-    def to_labels(w):
-        return tuple(A.labels[i] for i in w)
-
     def unit():
-        if back.unit != A.unit:
+        if P.top != A.unit:
             yield (A.unit,)
 
     def arrow():
         for x in range(A.n):
             for y in range(A.n):
-                if back.arrow[x][y] != A.arrow[x][y]:
+                if table.arrow[x][y] != A.cells[x][y]:
                     yield (x, y)
 
-    report.run_law("labels", iter(()) if back.labels == A.labels else iter([()]),
+    report.run_law("labels", iter(()) if P.labels == A.labels else iter([()]),
                    lambda w: (), all_witnesses)
-    report.run_law("unit", unit(), to_labels, all_witnesses)
-    report.run_law("arrow", arrow(), to_labels, all_witnesses)
+    report.run_law("unit", unit(), A.labels_of, all_witnesses)
+    report.run_law("arrow", arrow(), A.labels_of, all_witnesses)
     return report

@@ -267,18 +267,7 @@ def build_from_relation(labels: Sequence[str], pairs) -> Poset:
     up = [1 << i for i in range(n)]
     for low, high in rel:
         up[low] |= 1 << high
-    for i in range(n):
-        for j in iter_bits(up[i]):
-            if i != j and up[j] >> i & 1:
-                raise NotAntisymmetric(f"{labels[i]} <= {labels[j]} and conversely")
-            missing = up[j] & ~up[i]
-            if missing:
-                k = next(iter_bits(missing))
-                raise NotTransitive(
-                    f"{labels[i]} <= {labels[j]} <= {labels[k]} "
-                    f"but not {labels[i]} <= {labels[k]}"
-                )
-    return Poset(labels, up, validate=False)
+    return Poset(labels, up)
 
 
 # -- elementary operations -----------------------------------------------------

@@ -198,13 +198,13 @@ def pseudocomplement(P: Poset, x: int) -> int | None:
 
 def negation(P: Poset, x: int) -> int:
     """x^0, i.e. the pseudocomplement of x inside the whole bounded poset."""
+    P.mask_of((x,))  # rejects an index outside the carrier
     if P.bottom is None:
         raise NoBottomElement("negation requires a bottom element")
-    if not has_pseudocomplemented_sections(P):
+    _, table = verify_pseudocomplemented_sections(P)
+    if table is None:
         raise NotPseudocomplementedSections("negation requires pseudocomplemented sections")
-    z = section_pseudocomplement(P, x, P.bottom)
-    assert z is not None
-    return z
+    return table.entries[(x, P.bottom)]
 
 
 def negation_map(P: Poset) -> tuple[int, ...]:

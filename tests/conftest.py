@@ -11,7 +11,13 @@ import os
 
 import pytest
 
-from unsharp import build_from_covers, enumerate_posets, verify_pseudocomplemented_sections
+from unsharp import (
+    AXIOMS,
+    CheckReport,
+    build_from_covers,
+    enumerate_posets,
+    verify_pseudocomplemented_sections,
+)
 
 from reference_tables import (
     CROWN_COVERS,
@@ -143,3 +149,92 @@ def naive_is_poset(up_rows: tuple[int, ...]) -> bool:
                 if le(i, j) and le(j, k) and not le(i, k):
                     return False
     return True
+
+
+def naive_axioms(A) -> list:
+    """The six algebra axioms evaluated on the frozenset cells, all witnesses.
+
+    The frozenset axiom checker as it stood before the mask rewrite,
+    kept as the oracle the mask checker is compared against.
+    """
+    n, arrow = A.n, A.arrow
+    unit = frozenset((A.unit,))
+    le = [[arrow[x][y] == unit for y in range(n)] for x in range(n)]
+    labels = A.labels
+
+    def to_labels(w):
+        return tuple(labels[i] for i in w)
+
+    def unit_law():
+        for x in range(n):
+            if arrow[x][x] != unit or arrow[x][A.unit] != unit:
+                yield (x,)
+
+    def antisymmetry():
+        for x in range(n):
+            for y in range(n):
+                if x != y and le[x][y] and le[y][x]:
+                    yield (x, y)
+
+    def transitivity():
+        for x in range(n):
+            for y in range(n):
+                if not le[x][y]:
+                    continue
+                for z in range(n):
+                    if le[y][z] and not le[x][z]:
+                        yield (x, y, z)
+
+    def minimality():
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if z == y or not (le[y][z] and le[z][x]):
+                        continue
+                    if all(le[z][w] for w in arrow[x][y]):
+                        yield (x, y, z)
+
+    def adjointness():
+        for y in range(n):
+            for x in range(n):
+                if not le[y][x]:
+                    continue
+                for u in range(n):
+                    if not le[y][u]:
+                        continue
+                    if any(
+                        z != y and le[y][z] and le[z][x] and le[z][u]
+                        for z in range(n)
+                    ):
+                        continue
+                    if not all(le[u][w] for w in arrow[x][y]):
+                        yield (x, y, u)
+
+    def reconstruction():
+        for x in range(n):
+            for y in range(n):
+                image: set[int] = set()
+                for z in range(n):
+                    if not (le[x][z] and le[y][z]):
+                        continue
+                    if any(
+                        u != z and le[x][u] and le[y][u] and le[u][z]
+                        for u in range(n)
+                    ):
+                        continue
+                    image |= arrow[z][y]
+                if arrow[x][y] != image:
+                    yield (x, y)
+
+    generators = {
+        "unit": unit_law,
+        "antisymmetry": antisymmetry,
+        "transitivity": transitivity,
+        "minimality": minimality,
+        "adjointness": adjointness,
+        "reconstruction": reconstruction,
+    }
+    report = CheckReport("algebra-axioms")
+    for law in AXIOMS:
+        report.run_law(law, generators[law](), to_labels, True)
+    return report.verdicts

@@ -139,6 +139,21 @@ def test_residuation_command(capsys):
     assert any(law.startswith("relative-residuation:") for law in laws)
 
 
+def test_residuation_json_pass_covers_divisibility(capsys, monkeypatch):
+    import unsharp.cli
+    from unsharp import CheckReport
+
+    def failing(P, all_witnesses=False):
+        report = CheckReport("divisibility")
+        report.run_law("divisibility", iter([()]), lambda w: (), all_witnesses)
+        return report
+
+    monkeypatch.setattr(unsharp.cli, "divisibility_report", failing)
+    code, out, _ = run(capsys, "residuation", "--json", str(DATA / "pentagon.poset"))
+    assert json.loads(out)["pass"] is False
+    assert code == 1
+
+
 def test_residuation_rejects_bad_input(capsys):
     code, _, err = run(capsys, "residuation", str(DATA / "m3.poset"))
     assert code == 2 and "error" in err

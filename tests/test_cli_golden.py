@@ -1,9 +1,10 @@
 """Byte-level pins of the report commands on every test document.
 
 Each golden file under ``tests/golden/cli`` is the transcript of one
-command on one document, run plain, with ``--json`` and with
-``--all-witnesses``: the exit code, stdout, and stderr when the command
-reports an input error.  Regenerate after an intended output change with
+command on one document: the report commands run plain, with
+``--json`` and with ``--all-witnesses``, every ``tables --kind`` and
+``dot`` plain and with ``--json``.  A transcript holds the exit code,
+stdout, and stderr when the command reports an input error.  Regenerate after an intended output change with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -17,21 +18,30 @@ from pathlib import Path
 import pytest
 
 from unsharp.cli import main
+from unsharp.operators import KINDS
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden" / "cli"
-COMMANDS = ("check", "roundtrip", "residuation", "skeleton")
-FLAG_SETS = ((), ("--json",), ("--all-witnesses",))
+REPORT_FLAGS = ((), ("--json",), ("--all-witnesses",))
+OUTPUT_FLAGS = ((), ("--json",))
+# golden name -> (leading arguments, flag sets)
+COMMANDS = {
+    **{name: ((name,), REPORT_FLAGS)
+       for name in ("check", "roundtrip", "residuation", "skeleton")},
+    **{f"tables-{kind}": (("tables", "--kind", kind), OUTPUT_FLAGS) for kind in KINDS},
+    "dot": (("dot",), OUTPUT_FLAGS),
+}
 DOCUMENTS = sorted(p.stem for p in DATA.glob("*.poset"))
 
 
 def transcript(command: str, stem: str) -> str:
+    lead, flag_sets = COMMANDS[command]
     parts = []
-    for flags in FLAG_SETS:
-        argv = [command, *flags, f"tests/data/{stem}.poset"]
+    for flags in flag_sets:
+        argv = [*lead, *flags, f"tests/data/{stem}.poset"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, *flags, str(DATA / f"{stem}.poset")])
+            code = main([*lead, *flags, str(DATA / f"{stem}.poset")])
         parts.append(f"$ unsharp {' '.join(argv)}\nexit {code}\n{out.getvalue()}")
         if code == 2:
             parts.append(f"stderr:\n{err.getvalue()}")

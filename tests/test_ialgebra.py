@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unsharp import (
     AXIOMS,
@@ -14,7 +15,9 @@ from unsharp import (
     roundtrip_check,
     section_table,
 )
+from unsharp.order import iter_bits
 
+from conftest import naive_axioms
 from reference_tables import CROWN_IMP, CROWN_TAIL_IMP, PENTAGON_IMP
 
 
@@ -155,3 +158,39 @@ def test_index_rejects_unknown_label(pentagon):
     assert A.index(pentagon.labels[2]) == 2
     with pytest.raises(UnknownLabel):
         A.index("nowhere")
+
+
+def single_cell_mutants(A):
+    """Every table that differs from ``A`` in at most one cell."""
+    for x in range(A.n):
+        for y in range(A.n):
+            for cell in range(1, 1 << A.n):
+                yield A.with_cell(x, y, iter_bits(cell))
+
+
+def test_axioms_match_oracle_on_single_cell_mutants(pc_corpus):
+    for P, _ in pc_corpus:
+        if P.n > 4:
+            continue
+        for M in single_cell_mutants(algebra_of(P)):
+            assert axioms_report(M, all_witnesses=True).verdicts == naive_axioms(M)
+
+
+@st.composite
+def arrow_tables(draw):
+    """Arbitrary n x n tables of non-empty cells on 5-9 points, mostly {unit} cells."""
+    n = draw(st.integers(5, 9))
+    unit = draw(st.integers(0, n - 1))
+    cell = st.one_of(
+        st.just(1 << unit), st.just(1 << unit), st.integers(1, (1 << n) - 1)
+    )
+    rows = tuple(
+        tuple(frozenset(iter_bits(draw(cell))) for _ in range(n)) for _ in range(n)
+    )
+    return IAlgebra(tuple(f"e{i}" for i in range(n)), rows, unit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrow_tables())
+def test_axioms_match_oracle_on_random_tables(A):
+    assert axioms_report(A, all_witnesses=True).verdicts == naive_axioms(A)

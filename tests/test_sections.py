@@ -144,6 +144,12 @@ def test_negation_needs_bottom_and_sections(m3):
         negation(m3, 0)
 
 
+def test_negation_rejects_out_of_range_elements(crown_tail):
+    for x in (-1, crown_tail.n):
+        with pytest.raises(ValueError):
+            negation(crown_tail, x)
+
+
 def test_negation_laws_on_reference_posets(pentagon, crown, crown_tail, singleton):
     for P in (pentagon, crown, crown_tail, singleton):
         assert negation_laws_report(P).passed
