@@ -138,14 +138,18 @@ def render_table(table: OperatorTable) -> str:
     return "\n".join(lines)
 
 
+def _dot_quote(text: str) -> str:
+    """``text`` as a DOT double-quoted string, with backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(P: Poset, name: str = "poset") -> str:
     """Cover relation as a DOT digraph, edges pointing lower -> upper."""
-    quoted = name.replace('"', '\\"')
-    lines = [f'digraph "{quoted}" {{', "  rankdir=BT;"]
+    lines = [f"digraph {_dot_quote(name)} {{", "  rankdir=BT;"]
     for lab in P.labels:
-        lines.append(f'  "{lab}";')
+        lines.append(f"  {_dot_quote(lab)};")
     for lo, hi in cover_relation(P):
-        lines.append(f'  "{lo}" -> "{hi}";')
+        lines.append(f"  {_dot_quote(lo)} -> {_dot_quote(hi)};")
     lines.append("}")
     return "\n".join(lines)
 

@@ -101,6 +101,12 @@ class IAlgebra:
             sum(1 << x for x, row in enumerate(self.up) if row >> y & 1) for y in range(self.n)
         )
 
+    @cached_property
+    def _rebuilt(self) -> tuple[Poset, SectionTable]:
+        # kept only once every check of _rebuild has passed: a
+        # cached_property stores nothing when its getter raises
+        return _rebuild(self)
+
 
 def axioms_report(A: IAlgebra, laws=None, all_witnesses: bool = False) -> CheckReport:
     """Evaluate the axioms by exhaustive quantification over the carrier.
@@ -167,13 +173,11 @@ def axioms_report(A: IAlgebra, laws=None, all_witnesses: bool = False) -> CheckR
 
 
 def algebra_of(P: Poset) -> IAlgebra:
-    """Arrow table of a poset with pseudocomplemented sections; unit is the top."""
-    return _algebra_of_table(section_table(P))
+    """Arrow table of a poset with pseudocomplemented sections; unit is the top.
 
-
-def _algebra_of_table(table: SectionTable) -> IAlgebra:
-    P = table.poset
-    return IAlgebra(P.labels, table.arrow_sets(), P.top)
+    It is the algebra the poset's section table holds, built once per poset.
+    """
+    return section_table(P).algebra
 
 
 def poset_of(A: IAlgebra) -> tuple[Poset, SectionTable]:
@@ -183,8 +187,13 @@ def poset_of(A: IAlgebra) -> tuple[Poset, SectionTable]:
     structural: the relation must be a partial order with the unit on
     top, cells below the diagonal must be singletons, and those
     singletons must agree with the pseudocomplements recomputed from
-    the rebuilt order.
+    the rebuilt order.  The rebuild is made once per algebra; an
+    algebra that fails a check raises the same error on every call.
     """
+    return A._rebuilt
+
+
+def _rebuild(A: IAlgebra) -> tuple[Poset, SectionTable]:
     n, cells, up = A.n, A.cells, A.up
     for x in range(n):
         if not up[x] >> x & 1:
@@ -240,7 +249,7 @@ def roundtrip_check(obj, all_witnesses: bool = False) -> CheckReport:
 
 def _roundtrip_poset(P: Poset, all_witnesses: bool) -> CheckReport:
     table = section_table(P)
-    back, back_table = poset_of(_algebra_of_table(table))
+    back, back_table = poset_of(table.algebra)
     report = CheckReport("poset-roundtrip")
 
     def order():

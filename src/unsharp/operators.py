@@ -91,7 +91,7 @@ def operator_table(P: Poset, kind: str) -> OperatorTable:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if kind == "imp":
-        return OperatorTable(P, kind, section_table(P).arrow_sets())
+        return OperatorTable(P, kind, section_table(P).algebra.arrow)
     cells: list[list[frozenset[int] | None]] = []
     if kind == "xy":
         if P.top is None:

@@ -36,9 +36,15 @@ class Poset:
     construction re-checks the order axioms unless ``validate=False``
     (reserved for internal callers that build closed relations by
     construction, e.g. the corpus enumerator).
+
+    The slot ``_section_table`` is filled lazily, by
+    ``sections.verify_pseudocomplemented_sections`` on success, with
+    the complete section table, so every report on one poset shares
+    it.  It is derived from ``labels`` and ``up`` and plays no part in
+    equality or hashing.
     """
 
-    __slots__ = ("n", "labels", "up", "down", "full", "top", "bottom", "_index")
+    __slots__ = ("n", "labels", "up", "down", "full", "top", "bottom", "_index", "_section_table")
 
     def __init__(self, labels: Iterable[str], up: Iterable[int], *, validate: bool = True):
         self.labels = tuple(labels)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import (
     NoBottomElement,
@@ -20,6 +21,9 @@ from .errors import (
 from .order import Poset, iter_bits
 from .reports import CheckReport
 
+if TYPE_CHECKING:
+    from .ialgebra import IAlgebra
+
 
 @dataclass(frozen=True)
 class SectionTable:
@@ -28,10 +32,11 @@ class SectionTable:
     Entries exist exactly for the pairs where y <= x and the
     pseudocomplement exists; the undefined cells are the dashes of the
     printed tables.  A complete table (every section pseudocomplemented)
-    also carries the structures derived from it, each an n x n grid
-    computed once on first use: the implication cells ``arrow`` and the
-    conjunction cells ``conj`` as element bitmasks, and the pairwise
-    ``join`` and ``meet`` (None where absent).
+    also carries the structures derived from it, each computed once on
+    first use: the n x n grids ``arrow`` (implication cells) and
+    ``conj`` (conjunction cells) as element bitmasks, the pairwise
+    ``join`` and ``meet`` (None where absent), the negation map, and
+    the arrow-table algebra.
     """
 
     poset: Poset
@@ -80,18 +85,29 @@ class SectionTable:
         P = self.poset
         return tuple(tuple(P.meet(x, y) for y in range(P.n)) for x in range(P.n))
 
+    @cached_property
+    def negation(self) -> tuple[int, ...] | None:
+        """x^0 for every element x, or None when the poset has no bottom."""
+        P = self.poset
+        if P.bottom is None:
+            return None
+        return tuple(self.entries[(x, P.bottom)] for x in range(P.n))
+
+    @cached_property
+    def algebra(self) -> IAlgebra:
+        """The arrow-table algebra: these implication cells, with the top as unit."""
+        from .ialgebra import IAlgebra  # ialgebra imports this module
+
+        P = self.poset
+        arrow = tuple(tuple(frozenset(iter_bits(cell)) for cell in row) for row in self.arrow)
+        return IAlgebra(P.labels, arrow, P.top)
+
     def arrow_image(self, mask: int, y: int) -> int:
         """Union of the cells w -> y over the members w of ``mask``."""
         out = 0
         for w in iter_bits(mask):
             out |= self.arrow[w][y]
         return out
-
-    def arrow_sets(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        """The implication cells as frozensets, the form the public tables carry."""
-        return tuple(
-            tuple(frozenset(iter_bits(cell)) for cell in row) for row in self.arrow
-        )
 
 
 def section_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
@@ -120,13 +136,19 @@ def verify_pseudocomplemented_sections(
     """Check that every section [y,1] is pseudocomplemented.
 
     Returns the report plus the full table of x^y values on success
-    (None on failure; the report then carries a witness pair).
+    (None on failure; the report then carries a witness pair).  The
+    table is kept on ``P``, so later calls return it without a search;
+    a failure keeps nothing and scans again on the next call.
     """
     report = CheckReport("pseudocomplemented-sections")
     if P.top is None:
         report.run_law("top", iter([()]), lambda w: (), all_witnesses)
         return report, None
     report.run_law("top", iter(()), lambda w: (), all_witnesses)
+    table = getattr(P, "_section_table", None)
+    if table is not None:
+        report.run_law("sections", iter(()), P.labels_of, all_witnesses)
+        return report, table
     entries: dict[tuple[int, int], int] = {}
 
     def failures():
@@ -141,7 +163,8 @@ def verify_pseudocomplemented_sections(
     verdict = report.run_law("sections", failures(), P.labels_of, all_witnesses)
     if not verdict.passed:
         return report, None
-    return report, SectionTable(P, entries)
+    P._section_table = SectionTable(P, entries)
+    return report, P._section_table
 
 
 def has_pseudocomplemented_sections(P: Poset) -> bool:
@@ -204,7 +227,7 @@ def negation(P: Poset, x: int) -> int:
     _, table = verify_pseudocomplemented_sections(P)
     if table is None:
         raise NotPseudocomplementedSections("negation requires pseudocomplemented sections")
-    return table.entries[(x, P.bottom)]
+    return table.negation[x]
 
 
 def negation_map(P: Poset) -> tuple[int, ...]:
@@ -234,7 +257,7 @@ def negation_laws_report(P: Poset, all_witnesses: bool = False) -> CheckReport:
         raise NotPseudocomplementedSections(
             "negation laws require pseudocomplemented sections"
         )
-    neg = tuple(table.entries[(x, P.bottom)] for x in range(P.n))
+    neg = table.negation
     top = P.top
     report = CheckReport("negation-laws")
 

@@ -201,6 +201,21 @@ def test_dot_output(capsys, pentagon):
     assert to_dot(pentagon, "pentagon") + "\n" == out
 
 
+def test_dot_escapes_backslash_and_quote(capsys, tmp_path):
+    hostile = tmp_path / "hostile.poset"
+    hostile.write_text('poset q"x\\\nelements: a"b c\\\ncovers: a"b<c\\\n')
+    code, out, _ = run(capsys, "dot", str(hostile))
+    assert code == 0
+    assert out.splitlines() == [
+        'digraph "q\\"x\\\\" {',
+        "  rankdir=BT;",
+        '  "a\\"b";',
+        '  "c\\\\";',
+        '  "a\\"b" -> "c\\\\";',
+        "}",
+    ]
+
+
 def test_exit_codes_on_bad_files(capsys, tmp_path):
     code, _, err = run(capsys, "tables", str(DATA / "broken.poset"))
     assert code == 2 and "line 3" in err

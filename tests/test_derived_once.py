@@ -1,0 +1,195 @@
+"""Each derived structure is computed once per object and shared safely.
+
+A poset keeps its section table, the table its algebra, the algebra
+its rebuilt poset.  These tests count the section-pseudocomplement
+searches that sharing saves, and check that a poset or an algebra
+which has already served every other report answers exactly as a
+fresh one does.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import unsharp.ialgebra
+import unsharp.operators
+import unsharp.sections
+from unsharp import (
+    IAlgebra,
+    Poset,
+    PosetError,
+    algebra_of,
+    axioms_report,
+    divisibility_report,
+    enumerate_posets,
+    glivenko_skeleton,
+    implication_properties_report,
+    is_lattice,
+    lattice_relative_residuation_report,
+    negation,
+    negation_laws_report,
+    operator_table,
+    poset_of,
+    roundtrip_check,
+    section_table,
+    unsharp_residuation_report,
+    verify_pseudocomplemented_sections,
+)
+from unsharp.cli import main
+from unsharp.operators import KINDS
+
+from test_ialgebra import single_cell_mutants
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every call of ``section_pseudocomplement`` the library makes, as (x, y)."""
+    calls = []
+    search = unsharp.sections.section_pseudocomplement
+
+    def counted(P, x, y):
+        calls.append((x, y))
+        return search(P, x, y)
+
+    for module in (unsharp.sections, unsharp.operators, unsharp.ialgebra):
+        monkeypatch.setattr(module, "section_pseudocomplement", counted)
+    return calls
+
+
+def outcomes(P: Poset) -> dict:
+    """Every public report on ``P`` (all witnesses) and the values read from its table."""
+    out = {
+        "sections": lambda: verify_pseudocomplemented_sections(P, True)[0].as_dict(),
+        "implication": lambda: implication_properties_report(P, True).as_dict(),
+        "axioms": lambda: axioms_report(algebra_of(P), all_witnesses=True).as_dict(),
+        "roundtrip-poset": lambda: roundtrip_check(P, True).as_dict(),
+        "roundtrip-algebra": lambda: roundtrip_check(algebra_of(P), True).as_dict(),
+        "residuation": lambda: unsharp_residuation_report(P, True).as_dict(),
+        "divisibility": lambda: divisibility_report(P, True).as_dict(),
+        "arrow": lambda: algebra_of(P).arrow,
+        "tables": lambda: [operator_table(P, kind).cells for kind in KINDS],
+        "rebuilt": lambda: rebuilt(poset_of(algebra_of(P))),
+    }
+    if P.bottom is not None:
+        out["negation"] = lambda: [negation(P, x) for x in range(P.n)]
+        out["negation-laws"] = lambda: negation_laws_report(P, True).as_dict()
+        out["skeleton"] = lambda: skeleton(P)
+    if is_lattice(P):
+        out["lattice"] = lambda: lattice_relative_residuation_report(P, True).as_dict()
+    return out
+
+
+def skeleton(P: Poset) -> tuple:
+    sub, report = glivenko_skeleton(P, True)
+    return sub.labels, report.as_dict()
+
+
+def rebuilt(result) -> tuple:
+    P, table = result
+    return P.labels, P.up, table.entries
+
+
+def fresh(P: Poset) -> Poset:
+    return Poset(P.labels, P.up)
+
+
+@pytest.mark.parametrize("command, expected", [
+    # crown_tail has 25 pairs y <= x; roundtrip searches them again to
+    # validate the one rebuild both of its roundtrips share
+    ("check", 25),
+    ("residuation", 25),
+    ("roundtrip", 50),
+])
+def test_cli_searches_each_section_once(searches, capsys, command, expected):
+    assert main([command, str(DATA / "crown_tail.poset")]) == 0
+    capsys.readouterr()
+    assert len(searches) == expected
+
+
+def test_second_battery_on_one_poset_searches_nothing(searches, crown_tail):
+    P = fresh(crown_tail)
+    first = {name: run() for name, run in outcomes(P).items()}
+    assert searches
+    searches.clear()
+    second = {name: run() for name, run in outcomes(P).items()
+              if name != "tables"}  # the x^y table searches every cell by definition
+    assert searches == []
+    assert second == {name: first[name] for name in second}
+    assert algebra_of(P) is algebra_of(P) is section_table(P).algebra
+    A = algebra_of(P)
+    assert poset_of(A) is poset_of(A)
+
+
+def test_reports_on_a_used_poset_match_a_fresh_one(pc_corpus):
+    for template, _ in pc_corpus:
+        if template.n > 4:
+            continue
+        names = list(outcomes(template))
+        for name in names:
+            expected = outcomes(fresh(template))[name]()
+            used = fresh(template)
+            runs = outcomes(used)
+            for other in reversed(names):
+                if other != name:
+                    runs[other]()
+            assert runs[name]() == expected, (template, name)
+
+
+def test_failed_verification_keeps_nothing(searches):
+    failing = 0
+    for n in range(1, 6):  # the smallest posets with a top but a section not pc have 5 points
+        for template in enumerate_posets(n):
+            if template.top is None:
+                continue
+            expected = verify_pseudocomplemented_sections(fresh(template), True)[0].as_dict()
+            if expected["pass"]:
+                continue
+            P = fresh(template)
+            searches.clear()
+            first = verify_pseudocomplemented_sections(P)[0].as_dict()
+            scanned = len(searches)
+            searches.clear()
+            assert verify_pseudocomplemented_sections(P)[0].as_dict() == first
+            assert len(searches) == scanned  # the same early exit, not a stored answer
+            assert verify_pseudocomplemented_sections(P, True)[0].as_dict() == expected
+            failing += 1
+    assert failing
+
+
+def failure(call):
+    try:
+        call()
+    except PosetError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_poset_of_fails_alike_on_every_call(pc_corpus):
+    failing = 0
+    for P, _ in pc_corpus:
+        if P.n > 3:  # each of poset_of's failures already occurs here
+            continue
+        for M in single_cell_mutants(algebra_of(P)):
+            first = failure(lambda: poset_of(M))
+            assert failure(lambda: poset_of(M)) == first
+            twin = IAlgebra(M.labels, M.arrow, M.unit)
+            assert failure(lambda: poset_of(twin)) == first
+            if first is None:
+                assert poset_of(M) is poset_of(M)
+                assert rebuilt(poset_of(M)) == rebuilt(poset_of(twin))
+            failing += first is not None
+    assert failing
+
+
+def test_with_cell_shares_no_cached_view(pentagon):
+    A = algebra_of(pentagon)
+    views = (A.cells, A.up, A.down, poset_of(A))
+    x, y = pentagon.bottom, pentagon.top  # bottom -> top = {top}; make it {bottom}
+    M = A.with_cell(x, y, {x})
+    twin = IAlgebra(M.labels, M.arrow, M.unit)
+    assert (M.cells, M.up, M.down) == (twin.cells, twin.up, twin.down)
+    assert M.cells != A.cells and M.up != A.up and M.down != A.down
+    assert failure(lambda: poset_of(M)) == failure(lambda: poset_of(twin)) is not None
+    assert (A.cells, A.up, A.down, poset_of(A)) == views
