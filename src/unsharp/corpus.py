@@ -11,13 +11,19 @@ the valid one-point extensions without any rejection step.
 Canonical mode keeps one representative per isomorphism class (the
 lexicographically least incidence encoding over all relabelings) and
 reports its orbit size, so summing orbits reproduces the labeled count.
+Each call builds one byte table per permutation that maps a row mask to
+its relabeled mask; a relabeling is compared with the poset one row at a
+time, stops at the first row that differs, and rejects the poset when
+that row is smaller.  Kept posets count their automorphisms on the way.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .errors import SizeLimitExceeded
@@ -29,13 +35,15 @@ MAX_N = 7
 OPEN_N = 6  # sizes above this need the explicit opt-in flag
 
 
-def _guard(n: int, force: bool) -> None:
+def _labels(n: int, force: bool) -> tuple[str, ...]:
+    # the labels of an n-point corpus, once n passes the size guard
     if not 1 <= n <= MAX_N:
         raise SizeLimitExceeded(f"n must be between 1 and {MAX_N}, got {n}")
     if n > OPEN_N and not force:
         raise SizeLimitExceeded(
             f"n = {n} enumerates millions of posets; pass force=True to run it"
         )
+    return tuple(LABELS[:n])
 
 
 def _labeled_relations(n: int) -> Iterator[tuple[int, ...]]:
@@ -76,43 +84,39 @@ def _labeled_relations(n: int) -> Iterator[tuple[int, ...]]:
     yield from grow(1, [1], [1])
 
 
-def _relabel(up: tuple[int, ...], perm: tuple[int, ...], n: int) -> tuple[int, ...]:
-    rows = []
-    for i in range(n):
-        old = up[perm[i]]
-        m = 0
-        for j in range(n):
-            if old >> perm[j] & 1:
-                m |= 1 << j
-        rows.append(m)
-    return tuple(rows)
-
-
 def enumerate_posets(n: int, force: bool = False) -> Iterator[Poset]:
     """Stream of every labeled poset on n elements."""
-    _guard(n, force)
-    labels = tuple(LABELS[:n])
+    labels = _labels(n, force)
     for up in _labeled_relations(n):
         yield Poset(labels, up, validate=False)
 
 
 def enumerate_canonical(n: int, force: bool = False) -> Iterator[tuple[Poset, int]]:
     """Canonical representatives with their orbit sizes under relabeling."""
-    _guard(n, force)
-    labels = tuple(LABELS[:n])
-    perms = list(itertools.permutations(range(n)))
+    labels = _labels(n, force)
     fact = math.factorial(n)
+    # table[mask] moves bit perm[j] of a row mask to bit j
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        table = [0]
+        for k in range(n):
+            bit = 1 << perm.index(k)
+            table += [m | bit for m in table]
+        tables.append((perm, bytes(table)))
     for up in _labeled_relations(n):
         automorphisms = 0
-        least = up
-        for perm in perms:
-            enc = _relabel(up, perm, n)
-            if enc == up:
+        for perm, table in tables:
+            # relabeled row i is table[up[perm[i]]]; the first differing row decides
+            for p, row in zip(perm, up):
+                image = table[up[p]]
+                if image != row:
+                    break
+            else:
                 automorphisms += 1
-            if enc < least:
-                least = enc
+                continue
+            if image < row:
                 break
-        if least == up:
+        else:
             yield Poset(labels, up, validate=False), fact // automorphisms
 
 
@@ -134,14 +138,7 @@ class CorpusStats:
     rel_pc: int
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "total_posets": self.total_posets,
-            "with_top": self.with_top,
-            "pc_sections": self.pc_sections,
-            "lattices": self.lattices,
-            "rel_pc": self.rel_pc,
-        }
+        return asdict(self)
 
 
 def _relatively_pseudocomplemented(P: Poset) -> bool:
@@ -154,12 +151,14 @@ def _relatively_pseudocomplemented(P: Poset) -> bool:
 
 def corpus_stats(n: int, force: bool = False) -> CorpusStats:
     """Aggregate counts over the labeled stream."""
+    labels = _labels(n, force)
     total = with_top = pc = lattices = rel = 0
-    for P in enumerate_posets(n, force=force):
+    for up in _labeled_relations(n):
         total += 1
-        if P.top is None:
-            continue
+        if not functools.reduce(operator.and_, up):
+            continue  # no element is in every up-cone: no top
         with_top += 1
+        P = Poset(labels, up, validate=False)
         report, _ = verify_pseudocomplemented_sections(P)
         if report.passed:
             pc += 1

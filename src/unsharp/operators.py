@@ -23,6 +23,7 @@ from .sections import (
     section_pseudocomplement,
     section_table,
     sectional_pseudocomplement,
+    verify_pseudocomplemented_sections,
 )
 
 KINDS = ("xy", "imp", "conj", "rel", "circ")
@@ -96,11 +97,12 @@ def operator_table(P: Poset, kind: str) -> OperatorTable:
     if kind == "xy":
         if P.top is None:
             raise NoTopElement("section tables require a top element")
+        _, table = verify_pseudocomplemented_sections(P)
         for x in range(P.n):
             row: list[frozenset[int] | None] = []
             for y in range(P.n):
                 if P.le(y, x):
-                    z = section_pseudocomplement(P, x, y)
+                    z = section_pseudocomplement(P, x, y) if table is None else table.entries[(x, y)]
                     row.append(None if z is None else frozenset((z,)))
                 else:
                     row.append(None)

@@ -29,6 +29,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _member_bounding(mask: int, cones: Sequence[int]) -> int | None:
+    # the first member a of mask whose cone cones[a] holds all of mask
+    rest = mask
+    while rest:
+        low = rest & -rest
+        a = low.bit_length() - 1
+        if not mask & ~cones[a]:
+            return a
+        rest ^= low
+    return None
+
+
 class Poset:
     """Immutable finite poset over labelled elements.
 
@@ -52,25 +64,28 @@ class Poset:
         self.n = len(self.labels)
         if len(self.up) != self.n:
             raise ValueError("relation has a different size than the label list")
-        self.full = (1 << self.n) - 1
-        self._index = {}
-        for i, lab in enumerate(self.labels):
-            if not lab:
-                raise ValueError("labels must be non-empty strings")
-            if lab in self._index:
-                raise DuplicateLabel(f"duplicate label {lab!r}")
-            self._index[lab] = i
+        self.full = full = (1 << self.n) - 1
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != self.n or not all(self.labels):
+            for i, lab in enumerate(self.labels):
+                if not lab:
+                    raise ValueError("labels must be non-empty strings")
+                if lab in self.labels[:i]:
+                    raise DuplicateLabel(f"duplicate label {lab!r}")
         down = [0] * self.n
         for i, row in enumerate(self.up):
-            if row & ~self.full:
+            if row & ~full:
                 raise ValueError(f"row {i} mentions out-of-range elements")
-            for j in iter_bits(row):
-                down[j] |= 1 << i
-        self.down = tuple(down)
+            bit = 1 << i
+            while row:
+                low = row & -row
+                down[low.bit_length() - 1] |= bit
+                row ^= low
+        self.down = down = tuple(down)
         if validate:
             self._validate()
-        self.top = next((t for t in range(self.n) if self.down[t] == self.full), None)
-        self.bottom = next((b for b in range(self.n) if self.up[b] == self.full), None)
+        self.top = down.index(full) if full in down else None
+        self.bottom = self.up.index(full) if full in self.up else None
 
     def _validate(self) -> None:
         for i in range(self.n):
@@ -171,16 +186,10 @@ class Poset:
 
     def greatest_of(self, mask: int) -> int | None:
         """The greatest element of the subset, if it has one."""
-        m = self.max_mask(mask)
-        if m and m == m & -m:
-            return m.bit_length() - 1
-        return None
+        return _member_bounding(mask, self.down)
 
     def least_of(self, mask: int) -> int | None:
-        m = self.min_mask(mask)
-        if m and m == m & -m:
-            return m.bit_length() - 1
-        return None
+        return _member_bounding(mask, self.up)
 
     def join(self, a: int, b: int) -> int | None:
         return self.least_of(self.up[a] & self.up[b])

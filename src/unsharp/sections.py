@@ -234,7 +234,11 @@ def negation_map(P: Poset) -> tuple[int, ...]:
     """The value of x^0 for every element, as a tuple indexed by element.
 
     Requires a bottom element and a total pseudocomplement (no check of
-    the other sections is made here)."""
+    the other sections is made here); read off the stored section table
+    when ``P`` holds one."""
+    table = getattr(P, "_section_table", None)
+    if table is not None and P.bottom is not None:
+        return table.negation
     out = []
     for x in range(P.n):
         z = pseudocomplement(P, x)

@@ -7,6 +7,8 @@ the bitmask fast paths they are used to check.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 
 import pytest
@@ -106,6 +108,13 @@ def naive_greatest(P, elems) -> int | None:
     return None
 
 
+def naive_least(P, elems) -> int | None:
+    for a in elems:
+        if all(P.le(a, b) for b in elems):
+            return a
+    return None
+
+
 def naive_section_pc(P, x, y) -> int | None:
     """Greatest z with L(x,z) n [y,1] = {y}, straight from the set definition."""
     sec = {w for w in range(P.n) if P.le(y, w)}
@@ -149,6 +158,42 @@ def naive_is_poset(up_rows: tuple[int, ...]) -> bool:
                 if le(i, j) and le(j, k) and not le(i, k):
                     return False
     return True
+
+
+def naive_relabel(up: tuple[int, ...], perm: tuple[int, ...], n: int) -> tuple[int, ...]:
+    rows = []
+    for i in range(n):
+        old = up[perm[i]]
+        m = 0
+        for j in range(n):
+            if old >> perm[j] & 1:
+                m |= 1 << j
+        rows.append(m)
+    return tuple(rows)
+
+
+def naive_canonical(n: int):
+    """(up, orbit) of each lexicographically least labeled encoding.
+
+    The canonical filter as it stood before the per-permutation lookup
+    tables: every labeled poset is relabeled row by row under all n!
+    permutations and kept when no relabeling encodes smaller.
+    """
+    perms = list(itertools.permutations(range(n)))
+    fact = math.factorial(n)
+    for P in enumerate_posets(n, force=True):
+        up = P.up
+        automorphisms = 0
+        least = up
+        for perm in perms:
+            enc = naive_relabel(up, perm, n)
+            if enc == up:
+                automorphisms += 1
+            if enc < least:
+                least = enc
+                break
+        if least == up:
+            yield up, fact // automorphisms
 
 
 def naive_axioms(A) -> list:

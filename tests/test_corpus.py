@@ -11,7 +11,7 @@ from unsharp import (
 )
 from unsharp.order import Poset
 
-from conftest import naive_is_poset
+from conftest import corpus_n6_enabled, naive_canonical, naive_is_poset
 
 
 def brute_force_relations(n):
@@ -60,8 +60,23 @@ def test_canonical_orbits_reproduce_labeled_counts():
 
 
 def test_canonical_class_counts():
-    # distinct unlabeled orders on 1..4 points, derived from the same sweep
-    assert [len(list(enumerate_canonical(n))) for n in range(1, 5)] == [1, 2, 5, 16]
+    # distinct unlabeled orders on 1..5 points (OEIS A000112)
+    assert [len(list(enumerate_canonical(n))) for n in range(1, 6)] == [1, 2, 5, 16, 63]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonical_stream_matches_naive_oracle(n):
+    stream = [(P.up, orbit) for P, orbit in enumerate_canonical(n)]
+    assert stream == list(naive_canonical(n))
+
+
+@pytest.mark.n6
+@pytest.mark.skipif(not corpus_n6_enabled(), reason="set UNSHARP_CORPUS_N6=1 to run the n=6 sweep")
+def test_canonical_n6_matches_naive_oracle():
+    stream = [(P.up, orbit) for P, orbit in enumerate_canonical(6)]
+    assert len(stream) == 318
+    assert sum(orbit for _, orbit in stream) == 130023
+    assert stream == list(naive_canonical(6))
 
 
 def test_size_guards():

@@ -13,12 +13,21 @@ from unsharp import (
     build_from_relation,
     cone,
     cover_relation,
+    enumerate_posets,
     extremes,
     is_lattice,
     section,
 )
+from unsharp.order import Poset
 
-from conftest import naive_lower, naive_max, naive_min, naive_upper
+from conftest import (
+    naive_greatest,
+    naive_least,
+    naive_lower,
+    naive_max,
+    naive_min,
+    naive_upper,
+)
 
 
 @st.composite
@@ -54,6 +63,41 @@ def test_build_duplicate_and_unknown_labels():
         build_from_covers(["p", "p"], [])
     with pytest.raises(UnknownLabel):
         build_from_covers(["p"], [("p", "q")])
+
+
+def test_label_errors_name_the_first_offender():
+    with pytest.raises(DuplicateLabel, match=r"^duplicate label 'b'$"):
+        Poset(["a", "b", "b", "a"], [1, 2, 4, 8])
+    with pytest.raises(DuplicateLabel, match=r"^duplicate label 'a'$"):
+        Poset(["a", "b", "a", "b"], [1, 2, 4, 8])
+    with pytest.raises(DuplicateLabel, match=r"^duplicate label 'a'$"):
+        Poset(["a", "a", ""], [1, 2, 4])
+    with pytest.raises(ValueError, match=r"^labels must be non-empty strings$"):
+        Poset(["a", "", "a"], [1, 2, 4])
+    with pytest.raises(ValueError, match=r"^labels must be non-empty strings$"):
+        Poset(["a", ""], [1, 2])
+
+
+def test_construction_matches_naive_recomputation():
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            for Q in (P, Poset(P.labels, P.up)):
+                down = tuple(
+                    sum(1 << i for i in range(n) if Q.up[i] >> j & 1) for j in range(n)
+                )
+                assert Q.down == down
+                assert Q.top == naive_greatest(Q, range(n))
+                assert Q.bottom == naive_least(Q, range(n))
+                assert Q._index == {lab: i for i, lab in enumerate(Q.labels)}
+
+
+def test_bounds_of_every_subset_match_naive():
+    for n in range(1, 5):
+        for P in enumerate_posets(n):
+            for mask in range(1 << n):
+                elems = P.set_of(mask)
+                assert P.greatest_of(mask) == naive_greatest(P, elems)
+                assert P.least_of(mask) == naive_least(P, elems)
 
 
 def test_build_from_relation_matches_closure(crown):
