@@ -61,7 +61,7 @@ def parse_poset_file(text: str) -> list[PosetDocument]:
     covers: list[tuple[str, str]] = []
     header_line = 0
 
-    def flush(at_line: int) -> None:
+    def flush() -> None:
         nonlocal name, labels, covers
         if name is None:
             return
@@ -78,7 +78,7 @@ def parse_poset_file(text: str) -> list[PosetDocument]:
             rest = line[len("poset"):]
             if rest and not rest[0].isspace():
                 raise ParseError(f"unrecognised line {line!r}", lineno)
-            flush(lineno)
+            flush()
             name = rest.strip()
             header_line = lineno
             if not name:
@@ -97,7 +97,7 @@ def parse_poset_file(text: str) -> list[PosetDocument]:
                 covers.append((parts[0], parts[1]))
         else:
             raise ParseError(f"unrecognised line {line!r}", lineno)
-    flush(0)
+    flush()
     if not docs:
         raise ParseError("no poset documents found", 1)
     return docs

@@ -123,6 +123,8 @@ def enumerate_canonical(n: int, force: bool = False) -> Iterator[tuple[Poset, in
 def filter_pc_sections(stream: Iterable[Poset]) -> Iterator[tuple[Poset, SectionTable]]:
     """Keep the posets whose sections are all pseudocomplemented."""
     for P in stream:
+        if P.top is None:
+            continue  # fails the report's first law; skip building it
         report, table = verify_pseudocomplemented_sections(P)
         if report.passed:
             yield P, table

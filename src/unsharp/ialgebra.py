@@ -9,8 +9,8 @@ and ``roundtrip_check`` certifies the inversion on concrete instances.
 Inside axioms, "cell = 1" means the cell is exactly {unit}, and an
 arrow applied to an inner set is required to hit {unit} for every
 member of that set.  The checker and the translations read the table
-through the masks an algebra derives once: its cells as element
-bitmasks and the unit relation x -> y = 1 as bitmask rows.
+as masks: the cells an algebra stores as element bitmasks, and the
+unit relation x -> y = 1 as bitmask rows derived once.
 """
 
 from __future__ import annotations
@@ -39,26 +39,44 @@ AXIOMS = (
 )
 
 
-@dataclass(frozen=True)
+def _validate(labels, rows, unit: int, bad_cell) -> None:
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise DuplicateLabel("carrier labels must be distinct")
+    if not 0 <= unit < n:
+        raise ValueError("unit must be a carrier element")
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError("arrow table must be n x n")
+    if any(bad_cell(cell) for row in rows for cell in row):
+        raise ValueError("arrow cells must be non-empty carrier subsets")
+
+
+@dataclass(frozen=True, init=False)
 class IAlgebra:
-    """Carrier labels, total arrow table of non-empty cells, unit element."""
+    """Carrier labels, total arrow table of non-empty cells, unit element.
+
+    The table is stored as element bitmasks (``cells``); ``arrow`` is the
+    same table as frozensets, derived on first use.
+    """
 
     labels: tuple[str, ...]
-    arrow: tuple[tuple[frozenset[int], ...], ...]
+    cells: tuple[tuple[int, ...], ...]
     unit: int
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise DuplicateLabel("carrier labels must be distinct")
-        if not 0 <= self.unit < n:
-            raise ValueError("unit must be a carrier element")
-        if len(self.arrow) != n or any(len(row) != n for row in self.arrow):
-            raise ValueError("arrow table must be n x n")
-        for row in self.arrow:
-            for cell in row:
-                if not cell or any(not 0 <= v < n for v in cell):
-                    raise ValueError("arrow cells must be non-empty carrier subsets")
+    def __init__(self, labels, arrow, unit: int):
+        n = len(labels)
+        _validate(labels, arrow, unit, lambda cell: not cell or any(not 0 <= v < n for v in cell))
+        cells = tuple(tuple(sum(1 << v for v in cell) for cell in row) for row in arrow)
+        self.__dict__.update(labels=labels, cells=cells, unit=unit)
+
+    @classmethod
+    def from_cells(cls, labels, cells, unit: int) -> "IAlgebra":
+        """The algebra whose arrow cells are the given element bitmasks."""
+        full = (1 << len(labels)) - 1
+        _validate(labels, cells, unit, lambda cell: not cell or cell & ~full)
+        A = cls.__new__(cls)
+        A.__dict__.update(labels=labels, cells=tuple(map(tuple, cells)), unit=unit)
+        return A
 
     @property
     def n(self) -> int:
@@ -80,11 +98,9 @@ class IAlgebra:
         return IAlgebra(self.labels, tuple(tuple(r) for r in rows), self.unit)
 
     @cached_property
-    def cells(self) -> tuple[tuple[int, ...], ...]:
-        """The arrow cells as element bitmasks."""
-        return tuple(
-            tuple(sum(1 << v for v in cell) for cell in row) for row in self.arrow
-        )
+    def arrow(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """The arrow cells as frozensets of elements."""
+        return tuple(tuple(frozenset(iter_bits(cell)) for cell in row) for row in self.cells)
 
     @cached_property
     def up(self) -> tuple[int, ...]:
@@ -115,6 +131,7 @@ def axioms_report(A: IAlgebra, laws=None, all_witnesses: bool = False) -> CheckR
     order); by default all six run.
     """
     n, cells, up, down = A.n, A.cells, A.up, A.down
+    full = (1 << n) - 1
 
     def unit_law():
         for x in range(n):
@@ -140,21 +157,29 @@ def axioms_report(A: IAlgebra, laws=None, all_witnesses: bool = False) -> CheckR
                         yield (x, y, z)
 
     def adjointness():
+        # u fails when no z strictly between y and x lies below it and u is
+        # not below every member of the cell (x, y)
         for y in range(n):
             for x in iter_bits(up[y]):
-                strictly_between = up[y] & down[x] & ~(1 << y)
-                for u in iter_bits(up[y]):
-                    if not strictly_between & down[u] and cells[x][y] & ~up[u]:
-                        yield (x, y, u)
+                above_between = 0
+                for z in iter_bits(up[y] & down[x] & ~(1 << y)):
+                    above_between |= up[z]
+                below_cell = full
+                for w in iter_bits(cells[x][y]):
+                    below_cell &= down[w]
+                for u in iter_bits(up[y] & ~above_between & ~below_cell):
+                    yield (x, y, u)
 
     def reconstruction():
+        mins: dict[int, tuple[int, ...]] = {}  # Min U per upper-bound mask
         for x in range(n):
             for y in range(n):
                 ub = up[x] & up[y]
+                if ub not in mins:
+                    mins[ub] = tuple(z for z in iter_bits(ub) if not down[z] & ub & ~(1 << z))
                 image = 0
-                for z in iter_bits(ub):
-                    if not down[z] & ub & ~(1 << z):
-                        image |= cells[z][y]
+                for z in mins[ub]:
+                    image |= cells[z][y]
                 if cells[x][y] != image:
                     yield (x, y)
 
@@ -206,7 +231,7 @@ def _rebuild(A: IAlgebra) -> tuple[Poset, SectionTable]:
                 )
             missing = up[y] & ~up[x]
             if missing:
-                k = next(iter_bits(missing))
+                k = iter_bits(missing)[0]
                 raise OrderAxiomFailure(
                     f"relation is not transitive at "
                     f"({A.labels[x]},{A.labels[y]},{A.labels[k]})"

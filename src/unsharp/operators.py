@@ -174,17 +174,20 @@ def implication_properties_report(P: Poset, all_witnesses: bool = False) -> Chec
                     yield (a, b)
 
     def weakening_law():
+        # every member w of b -> a has a -> w = 1
         for a in range(P.n):
+            units = sum(1 << w for w in range(P.n) if arrow[a][w] == unit)
             for b in range(P.n):
-                if any(arrow[a][w] != unit for w in iter_bits(arrow[b][a])):
+                if arrow[b][a] & ~units:
                     yield (a, b)
 
     def antitone_in_premise():
         # every member of b -> c below every member of a -> c
+        upper = [[P.upper_mask(cell) for cell in row] for row in arrow]
         for a in range(P.n):
             for b in iter_bits(P.up[a]):
                 for c in range(P.n):
-                    if joins[a][c] is not None and arrow[a][c] & ~P.upper_mask(arrow[b][c]):
+                    if joins[a][c] is not None and arrow[a][c] & ~upper[b][c]:
                         yield (a, b, c)
 
     def double_arrow_expansion():

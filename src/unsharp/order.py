@@ -9,7 +9,7 @@ integer operations.  Posets are immutable and safe to share.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CycleDetected,
@@ -21,23 +21,28 @@ from .errors import (
 )
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask``, ascending."""
+# the set bit positions of every byte value, ascending
+_BYTE_BITS = tuple(tuple(b for b in range(8) if m >> b & 1) for m in range(256))
+
+
+def iter_bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of the non-negative ``mask``, ascending."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    out: list[int] = []
+    base = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        out += [base + b for b in _BYTE_BITS[mask & 255]]
+        mask >>= 8
+        base += 8
+    return tuple(out)
 
 
 def _member_bounding(mask: int, cones: Sequence[int]) -> int | None:
     # the first member a of mask whose cone cones[a] holds all of mask
-    rest = mask
-    while rest:
-        low = rest & -rest
-        a = low.bit_length() - 1
+    for a in iter_bits(mask):
         if not mask & ~cones[a]:
             return a
-        rest ^= low
     return None
 
 
@@ -76,11 +81,8 @@ class Poset:
         for i, row in enumerate(self.up):
             if row & ~full:
                 raise ValueError(f"row {i} mentions out-of-range elements")
-            bit = 1 << i
-            while row:
-                low = row & -row
-                down[low.bit_length() - 1] |= bit
-                row ^= low
+            for j in iter_bits(row):
+                down[j] |= 1 << i
         self.down = down = tuple(down)
         if validate:
             self._validate()
@@ -99,7 +101,7 @@ class Poset:
                     )
                 missing = self.up[j] & ~self.up[i]
                 if missing:
-                    k = next(iter_bits(missing))
+                    k = iter_bits(missing)[0]
                     raise NotTransitive(
                         f"{self.labels[i]} <= {self.labels[j]} <= {self.labels[k]} "
                         f"but not {self.labels[i]} <= {self.labels[k]}"
@@ -137,7 +139,7 @@ class Poset:
         return m
 
     def set_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(iter_bits(mask))
+        return iter_bits(mask)
 
     def labels_of(self, elems: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.labels[e] for e in elems)

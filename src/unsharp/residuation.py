@@ -45,6 +45,9 @@ def unsharp_residuation_report(P: Poset, all_witnesses: bool = False) -> Residua
     imp, conj = table.arrow, table.conj
     top = P.top
     n = P.n
+    # the down-closure and the common upper cone of every conjunction cell
+    below = [[P.down_closure(cell) for cell in row] for row in conj]
+    above = [[P.upper_mask(cell) for cell in row] for row in conj]
     report = ResiduationReport("unsharp-residuation")
 
     def commutative():
@@ -57,7 +60,6 @@ def unsharp_residuation_report(P: Poset, all_witnesses: bool = False) -> Residua
         # (x (.) y) (.) z against x (.) (y (.) z) under the down-set lift: each
         # side is the maximal elements of a down-set, so the sides agree
         # exactly when the down-sets do
-        below = [[P.down_closure(cell) for cell in row] for row in conj]
         for x in range(n):
             for y in range(n):
                 for z in range(n):
@@ -74,34 +76,27 @@ def unsharp_residuation_report(P: Poset, all_witnesses: bool = False) -> Residua
         for x in range(n):
             for y in iter_bits(P.up[x]):
                 for z in range(n):
-                    target = conj[y][z]
-                    for s in iter_bits(conj[x][z]):
-                        if not P.up[s] & target:
-                            yield (x, y, z)
-                            break
+                    if conj[x][z] & ~below[y][z]:
+                        yield (x, y, z)
 
     def monotone_dominant():
         # a single member of y(.)z above the whole of x(.)z, for x <= y
         for x in range(n):
             for y in iter_bits(P.up[x]):
                 for z in range(n):
-                    small = conj[x][z]
-                    if not small:
-                        continue
-                    if not any(
-                        small & ~P.down[t] == 0 for t in iter_bits(conj[y][z])
-                    ):
+                    if conj[x][z] and not conj[y][z] & above[x][z]:
                         yield (x, y, z)
 
     def adjoint():
+        # z is in x(.)y exactly when z <= x, z <= y and y -> z lies above x
         for x in range(n):
             for y in range(n):
-                cell = conj[x][y]
-                for z in range(n):
-                    member = bool(cell >> z & 1)
-                    cond = P.le(z, x) and P.le(z, y) and not imp[y][z] & ~P.up[x]
-                    if member != cond:
-                        yield (x, y, z)
+                good = 0
+                for z in iter_bits(P.down[x] & P.down[y]):
+                    if not imp[y][z] & ~P.up[x]:
+                        good |= 1 << z
+                for z in iter_bits(conj[x][y] ^ good):
+                    yield (x, y, z)
 
     report.run_law("commutative", commutative(), P.labels_of, all_witnesses)
     report.run_law("associative", associative(), P.labels_of, all_witnesses)

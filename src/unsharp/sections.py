@@ -55,12 +55,16 @@ class SectionTable:
     def arrow(self) -> tuple[tuple[int, ...], ...]:
         """x -> y: the section pseudocomplements against y of Min U(x,y)."""
         P, entries = self.poset, self.entries
+        mins: dict[int, tuple[int, ...]] = {}  # Min U per upper-bound mask
         rows = []
         for x in range(P.n):
             row = []
             for y in range(P.n):
+                ub = P.up[x] & P.up[y]
+                if ub not in mins:
+                    mins[ub] = iter_bits(P.min_mask(ub))
                 cell = 0
-                for m in iter_bits(P.min_mask(P.up[x] & P.up[y])):
+                for m in mins[ub]:
                     cell |= 1 << entries[(m, y)]
                 row.append(cell)
             rows.append(tuple(row))
@@ -99,8 +103,7 @@ class SectionTable:
         from .ialgebra import IAlgebra  # ialgebra imports this module
 
         P = self.poset
-        arrow = tuple(tuple(frozenset(iter_bits(cell)) for cell in row) for row in self.arrow)
-        return IAlgebra(P.labels, arrow, P.top)
+        return IAlgebra.from_cells(P.labels, self.arrow, P.top)
 
     def arrow_image(self, mask: int, y: int) -> int:
         """Union of the cells w -> y over the members w of ``mask``."""
@@ -113,16 +116,16 @@ class SectionTable:
 def section_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     """Greatest z with L(x,z) n [y,1] = {y}, or None when no greatest exists.
 
-    The candidate set is searched over the whole carrier; any candidate
-    automatically satisfies y <= z (and requires y <= x), so for
-    comparable pairs this coincides with the search inside the section.
+    The candidates are searched inside the section [y,1] only: y must
+    lie in L(x,z), so any candidate satisfies y <= z (and there is none
+    unless y <= x).
     """
     if P.top is None:
         raise NoTopElement("section pseudocomplements require a top element")
     sec = P.up[y]
     want = 1 << y
     cand = 0
-    for z in range(P.n):
+    for z in iter_bits(sec):
         if P.down[x] & P.down[z] & sec == want:
             cand |= 1 << z
     if not cand:

@@ -18,8 +18,11 @@ from unsharp import (
     CheckReport,
     build_from_covers,
     enumerate_posets,
+    section_table,
     verify_pseudocomplemented_sections,
 )
+from unsharp.order import iter_bits
+from unsharp.residuation import ResiduationReport
 
 from reference_tables import (
     CROWN_COVERS,
@@ -283,3 +286,179 @@ def naive_axioms(A) -> list:
     for law in AXIOMS:
         report.run_law(law, generators[law](), to_labels, True)
     return report.verdicts
+
+
+def naive_residuation(P, all_witnesses: bool = True) -> ResiduationReport:
+    """The unsharp residuation report with its element-loop law bodies.
+
+    The laws as they stood before the row-mask rewrite, read from the
+    poset's section table, kept as the oracle the fast report is
+    compared against.
+    """
+    table = section_table(P)
+    imp, conj = table.arrow, table.conj
+    top = P.top
+    n = P.n
+    report = ResiduationReport("unsharp-residuation")
+
+    def commutative():
+        for x in range(n):
+            for y in range(x + 1, n):
+                if conj[x][y] != conj[y][x]:
+                    yield (x, y)
+
+    def associative():
+        below = [[P.down_closure(cell) for cell in row] for row in conj]
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if below[x][y] & P.down[z] != P.down[x] & below[y][z]:
+                        yield (x, y, z)
+
+    def unit():
+        for x in range(n):
+            if conj[x][top] != 1 << x:
+                yield (x,)
+
+    def monotone():
+        for x in range(n):
+            for y in iter_bits(P.up[x]):
+                for z in range(n):
+                    target = conj[y][z]
+                    for s in iter_bits(conj[x][z]):
+                        if not P.up[s] & target:
+                            yield (x, y, z)
+                            break
+
+    def monotone_dominant():
+        for x in range(n):
+            for y in iter_bits(P.up[x]):
+                for z in range(n):
+                    small = conj[x][z]
+                    if not small:
+                        continue
+                    if not any(
+                        small & ~P.down[t] == 0 for t in iter_bits(conj[y][z])
+                    ):
+                        yield (x, y, z)
+
+    def adjoint():
+        for x in range(n):
+            for y in range(n):
+                cell = conj[x][y]
+                for z in range(n):
+                    member = bool(cell >> z & 1)
+                    cond = P.le(z, x) and P.le(z, y) and not imp[y][z] & ~P.up[x]
+                    if member != cond:
+                        yield (x, y, z)
+
+    def divisible():
+        for y in range(P.n):
+            for x in iter_bits(P.up[y]):
+                cell = imp[x][y]
+                if cell & (cell - 1):
+                    yield (x, y)
+                elif conj[x][cell.bit_length() - 1] & P.up[y] != 1 << y:
+                    yield (x, y)
+
+    report.run_law("commutative", commutative(), P.labels_of, all_witnesses)
+    report.run_law("associative", associative(), P.labels_of, all_witnesses)
+    report.run_law("unit", unit(), P.labels_of, all_witnesses)
+    report.run_law("monotone", monotone(), P.labels_of, all_witnesses)
+    report.run_law("monotone-dominant", monotone_dominant(), P.labels_of, all_witnesses)
+    report.run_law("adjoint", adjoint(), P.labels_of, all_witnesses)
+    report.run_law("divisible", divisible(), P.labels_of, all_witnesses)
+    return report
+
+
+def naive_implication_properties(P, all_witnesses: bool = True) -> CheckReport:
+    """The implication law suite with its element-loop law bodies.
+
+    The laws as they stood before the row-mask rewrite, read from the
+    poset's section table, kept as the oracle the fast report is
+    compared against.
+    """
+    table = section_table(P)
+    arrow, joins, entries = table.arrow, table.join, table.entries
+    top = P.top
+    unit = 1 << top
+    report = CheckReport("implication-properties")
+
+    def arrow_from_join():
+        for a in range(P.n):
+            for b in range(P.n):
+                j = joins[a][b]
+                if j is not None and arrow[a][b] != 1 << entries[(j, b)]:
+                    yield (a, b)
+
+    def arrow_restricts_to_section():
+        for a in range(P.n):
+            for b in iter_bits(P.down[a]):
+                if arrow[a][b] != 1 << entries[(a, b)]:
+                    yield (a, b)
+
+    def order_reflection():
+        for a in range(P.n):
+            for b in range(P.n):
+                if P.le(a, b) != (arrow[a][b] == unit):
+                    yield (a, b)
+
+    def join_absorption():
+        for a in range(P.n):
+            for b in range(P.n):
+                j = joins[a][b]
+                if j is not None and arrow[j][b] != arrow[a][b]:
+                    yield (a, b)
+
+    def unit_arrow_identity():
+        for a in range(P.n):
+            if arrow[top][a] != 1 << a:
+                yield (a,)
+
+    def weakening_bound():
+        for a in range(P.n):
+            for b in range(P.n):
+                if arrow[b][a] & ~P.up[a]:
+                    yield (a, b)
+
+    def weakening_law():
+        for a in range(P.n):
+            for b in range(P.n):
+                if any(arrow[a][w] != unit for w in iter_bits(arrow[b][a])):
+                    yield (a, b)
+
+    def antitone_in_premise():
+        for a in range(P.n):
+            for b in iter_bits(P.up[a]):
+                for c in range(P.n):
+                    if joins[a][c] is not None and arrow[a][c] & ~P.upper_mask(arrow[b][c]):
+                        yield (a, b, c)
+
+    def double_arrow_expansion():
+        for a in range(P.n):
+            for b in range(P.n):
+                if joins[a][b] is None:
+                    continue
+                if table.arrow_image(arrow[a][b], b) & ~P.up[a]:
+                    yield (a, b)
+
+    def triple_arrow_collapse():
+        for a in range(P.n):
+            for b in range(P.n):
+                if joins[a][b] is None:
+                    continue
+                twice = table.arrow_image(table.arrow_image(arrow[a][b], b), b)
+                if arrow[a][b] != twice:
+                    yield (a, b)
+
+    report.run_law("arrow-from-join", arrow_from_join(), P.labels_of, all_witnesses)
+    report.run_law("arrow-restricts-to-section", arrow_restricts_to_section(), P.labels_of, all_witnesses)
+    report.run_law("order-reflection", order_reflection(), P.labels_of, all_witnesses)
+    report.run_law("join-absorption", join_absorption(), P.labels_of, all_witnesses)
+    report.run_law("unit-arrow-identity", unit_arrow_identity(), P.labels_of, all_witnesses)
+    report.run_law("weakening-bound", weakening_bound(), P.labels_of, all_witnesses)
+    report.run_law("weakening-law", weakening_law(), P.labels_of, all_witnesses)
+    report.run_law("antitone-in-premise", antitone_in_premise(), P.labels_of, all_witnesses)
+    report.run_law("double-arrow-expansion", double_arrow_expansion(), P.labels_of, all_witnesses)
+    report.run_law("triple-arrow-collapse", triple_arrow_collapse(), P.labels_of, all_witnesses)
+    return report

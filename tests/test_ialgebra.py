@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from unsharp import (
     AXIOMS,
+    DuplicateLabel,
     IAlgebra,
     NonSingletonSection,
     NotPseudocomplementedSections,
@@ -194,3 +195,32 @@ def arrow_tables(draw):
 @given(arrow_tables())
 def test_axioms_match_oracle_on_random_tables(A):
     assert axioms_report(A, all_witnesses=True).verdicts == naive_axioms(A)
+
+
+def test_from_cells_validates_like_the_constructor():
+    labels = ("a", "b")
+    one = frozenset((1,))
+
+    def table(bad_cell, bad_mask):
+        # a two-point chain a < b whose cell (b, a) is replaced
+        return ((one, one), (bad_cell, one)), ((2, 2), (bad_mask, 2))
+
+    good = table(frozenset((0,)), 1)
+    cases = [
+        (("a", "a"), *good, 1),
+        (labels, *good, 2),
+        (labels, good[0][:1], good[1][:1], 1),
+        (labels, *table(frozenset(), 0), 1),
+        (labels, *table(frozenset((2,)), 4), 1),
+        (labels, *table(frozenset((-1,)), -1), 1),
+    ]
+    for labs, sets, masks, unit in cases:
+        errors = []
+        for build, rows in ((IAlgebra, sets), (IAlgebra.from_cells, masks)):
+            with pytest.raises((ValueError, DuplicateLabel)) as exc:
+                build(labs, rows, unit)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1], (labs, sets, unit)
+    A = IAlgebra(labels, good[0], 1)
+    assert A.cells == good[1]
+    assert IAlgebra.from_cells(labels, [list(row) for row in good[1]], 1) == A

@@ -18,7 +18,7 @@ from unsharp import (
     is_lattice,
     section,
 )
-from unsharp.order import Poset
+from unsharp.order import Poset, iter_bits
 
 from conftest import (
     naive_greatest,
@@ -240,3 +240,10 @@ def test_min_of_upper_cone_nonempty_with_top(P):
     for x in range(P.n):
         for y in range(P.n):
             assert extremes(P, cone(P, [x, y], "upper"), "min") != ()
+
+
+def test_iter_bits_matches_naive_bit_list():
+    for mask in range(1 << 12):
+        assert iter_bits(mask) == tuple(b for b in range(12) if mask >> b & 1)
+    for mask in ((1 << 64) | 1, 3 << 63, (1 << 130) - 1, 0xA5 << 200 | 1 << 77 | 6):
+        assert iter_bits(mask) == tuple(b for b in range(mask.bit_length()) if mask >> b & 1)

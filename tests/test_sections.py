@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from unsharp import (
     NoBottomElement,
     NotPseudocomplemented,
     NotPseudocomplementedSections,
+    Poset,
     build_from_covers,
     glivenko_skeleton,
     negation,
@@ -18,9 +19,13 @@ from unsharp import (
 
 from conftest import (
     naive_conjunction,
+    naive_greatest,
     naive_implication,
+    naive_least,
+    naive_lower,
     naive_section_pc,
     naive_section_pc_inside,
+    naive_upper,
 )
 from reference_tables import CROWN_TAIL_XY, CROWN_XY, PENTAGON_XY
 from test_order import posets
@@ -197,7 +202,7 @@ def test_section_pc_matches_both_oracles(P):
             got = section_pseudocomplement(P, x, y)
             assert got == naive_section_pc(P, x, y)
             if P.le(y, x):
-                # the whole-carrier search and the in-section search agree
+                # the whole-carrier oracle and the in-section oracle agree
                 assert got == naive_section_pc_inside(P, x, y)
 
 
@@ -209,3 +214,50 @@ def test_mask_tables_match_oracles(pc_corpus):
                 assert table.conj[x][y] == P.mask_of(naive_conjunction(P, x, y))
                 assert table.join[x][y] == P.join(x, y)
                 assert table.meet[x][y] == P.meet(x, y)
+
+
+@st.composite
+def pc_posets(draw, min_n=8, max_n=12):
+    """Random posets with pseudocomplemented sections and a top.
+
+    Each new element m is added minimal, below the up-closure U of a few
+    drawn elements, which leaves every old section as it was; when the
+    new section {m} + U is not pseudocomplemented, U shrinks to the cone
+    of one element, which always is.  The last element may instead go
+    below everything, giving a bottom when the whole poset allows one.
+    The indices are then shuffled.
+    """
+    n = draw(st.integers(min_n, max_n))
+    up = [1]  # element 0 is the top
+    bounded = draw(st.booleans())
+    for k in range(1, n):
+        gens = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3))
+        above = (1 << k) - 1 if bounded and k == n - 1 else 0
+        for g in gens:
+            above |= up[g]
+        P = Poset([f"e{i}" for i in range(k + 1)], up + [1 << k | above], validate=False)
+        if any(naive_section_pc(P, x, k) is None for x in range(k + 1) if P.le(k, x)):
+            above = up[gens[0]]
+        up.append(1 << k | above)
+    perm = draw(st.permutations(range(n)))
+    rows = [0] * n
+    for i, row in enumerate(up):
+        rows[perm[i]] = sum(1 << perm[j] for j in range(n) if row >> j & 1)
+    return Poset([f"e{i}" for i in range(n)], rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pc_posets())
+def test_section_table_grids_match_oracles_on_large_posets(P):
+    report, table = verify_pseudocomplemented_sections(P)
+    assert report.passed
+    for x in range(P.n):
+        for y in range(P.n):
+            assert table.arrow[x][y] == P.mask_of(naive_implication(P, x, y))
+            assert table.conj[x][y] == P.mask_of(naive_conjunction(P, x, y))
+            assert table.join[x][y] == naive_least(P, naive_upper(P, [x, y]))
+            assert table.meet[x][y] == naive_greatest(P, naive_lower(P, [x, y]))
+    if P.bottom is None:
+        assert table.negation is None
+    else:
+        assert table.negation == tuple(naive_section_pc(P, x, P.bottom) for x in range(P.n))
