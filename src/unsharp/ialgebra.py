@@ -39,6 +39,12 @@ AXIOMS = (
 )
 
 
+def _cell_mask(cell, n: int) -> int:
+    # the bitmask of a cell of elements; 0, which no table accepts, when a
+    # member lies outside the carrier
+    return sum(1 << v for v in cell) if all(0 <= v < n for v in cell) else 0
+
+
 def _validate(labels, rows, unit: int, bad_cell) -> None:
     n = len(labels)
     if len(set(labels)) != n:
@@ -65,8 +71,8 @@ class IAlgebra:
 
     def __init__(self, labels, arrow, unit: int):
         n = len(labels)
-        _validate(labels, arrow, unit, lambda cell: not cell or any(not 0 <= v < n for v in cell))
-        cells = tuple(tuple(sum(1 << v for v in cell) for cell in row) for row in arrow)
+        _validate(labels, arrow, unit, lambda cell: not _cell_mask(cell, n))
+        cells = tuple(tuple(_cell_mask(cell, n) for cell in row) for row in arrow)
         self.__dict__.update(labels=labels, cells=cells, unit=unit)
 
     @classmethod
@@ -93,9 +99,9 @@ class IAlgebra:
 
     def with_cell(self, x: int, y: int, value) -> "IAlgebra":
         """Copy of the algebra with one cell replaced (for mutation testing)."""
-        rows = [list(row) for row in self.arrow]
-        rows[x][y] = frozenset(value)
-        return IAlgebra(self.labels, tuple(tuple(r) for r in rows), self.unit)
+        rows = [list(row) for row in self.cells]
+        rows[x][y] = _cell_mask(frozenset(value), self.n)
+        return IAlgebra.from_cells(self.labels, rows, self.unit)
 
     @cached_property
     def arrow(self) -> tuple[tuple[frozenset[int], ...], ...]:

@@ -223,4 +223,7 @@ def test_from_cells_validates_like_the_constructor():
         assert errors[0] == errors[1], (labs, sets, unit)
     A = IAlgebra(labels, good[0], 1)
     assert A.cells == good[1]
+    for bad in (frozenset(), frozenset((2,)), frozenset((-1,))):
+        with pytest.raises(ValueError, match="^arrow cells must be non-empty carrier subsets$"):
+            A.with_cell(1, 0, bad)
     assert IAlgebra.from_cells(labels, [list(row) for row in good[1]], 1) == A
