@@ -231,7 +231,7 @@ def pc_posets(draw, min_n=8, max_n=12):
     up = [1]  # element 0 is the top
     bounded = draw(st.booleans())
     for k in range(1, n):
-        gens = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3))
+        gens = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=5))
         above = (1 << k) - 1 if bounded and k == n - 1 else 0
         for g in gens:
             above |= up[g]
