@@ -312,7 +312,7 @@ def _cmd_dot(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unsharp",
         description="set-valued implication and conjunction on finite posets",
@@ -343,9 +343,16 @@ def main(argv=None) -> int:
     p_corpus.add_argument("--force", action="store_true",
                           help="allow the expensive n=7 run")
     add("dot", _cmd_dot, help="export the cover relation as a DOT digraph")
+    return parser
 
+
+# built once: it holds no input state, and each parse makes a fresh namespace
+PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on unknown commands/flags, which matches the contract
         return int(exc.code) if exc.code else 0

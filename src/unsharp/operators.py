@@ -134,6 +134,7 @@ def implication_properties_report(P: Poset, all_witnesses: bool = False) -> Chec
     arrow, joins, entries = table.arrow, table.join, table.entries
     top = P.top
     unit = 1 << top
+    img = [[table.arrow_image(cell, b) for b, cell in enumerate(row)] for row in arrow]
     report = CheckReport("implication-properties")
 
     def arrow_from_join():
@@ -195,7 +196,7 @@ def implication_properties_report(P: Poset, all_witnesses: bool = False) -> Chec
             for b in range(P.n):
                 if joins[a][b] is None:
                     continue
-                if table.arrow_image(arrow[a][b], b) & ~P.up[a]:
+                if img[a][b] & ~P.up[a]:
                     yield (a, b)
 
     def triple_arrow_collapse():
@@ -203,7 +204,7 @@ def implication_properties_report(P: Poset, all_witnesses: bool = False) -> Chec
             for b in range(P.n):
                 if joins[a][b] is None:
                     continue
-                twice = table.arrow_image(table.arrow_image(arrow[a][b], b), b)
+                twice = table.arrow_image(img[a][b], b)
                 if arrow[a][b] != twice:
                     yield (a, b)
 

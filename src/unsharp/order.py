@@ -38,12 +38,21 @@ def iter_bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _member_bounding(mask: int, cones: Sequence[int]) -> int | None:
-    # the first member a of mask whose cone cones[a] holds all of mask
+def bounding_member(mask: int, cones: Sequence[int]) -> int | None:
+    """The member of ``mask`` whose cone holds all of ``mask`` (greatest or least), or None."""
     for a in iter_bits(mask):
         if not mask & ~cones[a]:
             return a
     return None
+
+
+def extremal(mask: int, cones: Sequence[int]) -> int:
+    """The members of ``mask`` whose cone meets ``mask`` in themselves (minimal or maximal)."""
+    out = 0
+    for a in iter_bits(mask):
+        if cones[a] & mask == 1 << a:
+            out |= 1 << a
+    return out
 
 
 class Poset:
@@ -57,8 +66,8 @@ class Poset:
     The slot ``_section_table`` is filled lazily, by
     ``sections.verify_pseudocomplemented_sections`` on success, with
     the complete section table, so every report on one poset shares
-    it.  It is derived from ``labels`` and ``up`` and plays no part in
-    equality or hashing.
+    it.  It is derived from ``labels`` and ``up``, plays no part in
+    equality or hashing, and holds no reference back to the poset.
     """
 
     __slots__ = ("n", "labels", "up", "down", "full", "top", "bottom", "_index", "_section_table")
@@ -173,25 +182,17 @@ class Poset:
         return out
 
     def min_mask(self, mask: int) -> int:
-        out = 0
-        for a in iter_bits(mask):
-            if self.down[a] & mask == 1 << a:
-                out |= 1 << a
-        return out
+        return extremal(mask, self.down)
 
     def max_mask(self, mask: int) -> int:
-        out = 0
-        for a in iter_bits(mask):
-            if self.up[a] & mask == 1 << a:
-                out |= 1 << a
-        return out
+        return extremal(mask, self.up)
 
     def greatest_of(self, mask: int) -> int | None:
         """The greatest element of the subset, if it has one."""
-        return _member_bounding(mask, self.down)
+        return bounding_member(mask, self.down)
 
     def least_of(self, mask: int) -> int | None:
-        return _member_bounding(mask, self.up)
+        return bounding_member(mask, self.up)
 
     def join(self, a: int, b: int) -> int | None:
         return self.least_of(self.up[a] & self.up[b])

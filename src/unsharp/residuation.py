@@ -109,13 +109,13 @@ def unsharp_residuation_report(P: Poset, all_witnesses: bool = False) -> Residua
 
 
 def _divisibility_failures(table: SectionTable):
-    P, imp, conj = table.poset, table.arrow, table.conj
-    for y in range(P.n):
-        for x in iter_bits(P.up[y]):
+    up, imp, conj = table.up, table.arrow, table.conj
+    for y in range(len(up)):
+        for x in iter_bits(up[y]):
             cell = imp[x][y]
             if cell & (cell - 1):
                 yield (x, y)
-            elif conj[x][cell.bit_length() - 1] & P.up[y] != 1 << y:
+            elif conj[x][cell.bit_length() - 1] & up[y] != 1 << y:
                 yield (x, y)
 
 
@@ -147,44 +147,48 @@ def lattice_relative_residuation_report(P: Poset, all_witnesses: bool = False) -
     table = section_table(P)
     # on a lattice Min U(x,y) is the join alone, so every arrow cell is a singleton
     imp = [[cell.bit_length() - 1 for cell in row] for row in table.arrow]
-    join, meet = table.join, table.meet
+    up, join, meet = P.up, table.join, table.meet
     n = P.n
     report = CheckReport("relative-residuation")
 
     def multiplication_monotone():
         for x in range(n):
-            for y in iter_bits(P.up[x]):
+            for y in iter_bits(up[x]):
+                mx, my = meet[x], meet[y]
                 for z in range(n):
-                    if not P.le(meet[x][z], meet[y][z]):
+                    if not up[mx[z]] >> my[z] & 1:
                         yield (x, y, z)
 
     def relative_adjointness():
         for x in range(n):
             for y in range(n):
+                jx, jy, iy = join[x], join[y], imp[y]
                 for z in range(n):
-                    xz, yz = join[x][z], join[y][z]
-                    if P.le(meet[xz][yz], z) != P.le(xz, imp[y][z]):
+                    xz, yz = jx[z], jy[z]
+                    if up[meet[xz][yz]] >> z & 1 != up[xz] >> iy[z] & 1:
                         yield (x, y, z)
 
     def join_dominance():
         for x in range(n):
             for y in range(n):
+                mx, mj = meet[x], meet[join[x][y]]
                 for z in range(n):
-                    if not P.le(meet[x][z], meet[join[x][y]][z]):
+                    if not up[mx[z]] >> mj[z] & 1:
                         yield (x, y, z)
 
     def residual_bound():
         for x in range(n):
             for y in range(n):
+                ix, mj = imp[x], meet[join[x][y]]
                 for z in range(n):
-                    inner = join[meet[join[x][y]][join[z][y]]][y]
-                    if not P.le(join[z][y], imp[x][inner]):
+                    zy = join[z][y]
+                    if not up[zy] >> ix[join[mj[zy]][y]] & 1:
                         yield (x, y, z)
 
     def modus_ponens_bound():
         for x in range(n):
             for y in range(n):
-                if not P.le(meet[imp[x][y]][join[x][y]], y):
+                if not up[meet[imp[x][y]][join[x][y]]] >> y & 1:
                     yield (x, y)
 
     def meet_collapse():

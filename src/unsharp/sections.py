@@ -18,14 +18,14 @@ from .errors import (
     NotPseudocomplementedSections,
     NoTopElement,
 )
-from .order import Poset, iter_bits
+from .order import Poset, bounding_member, extremal, iter_bits
 from .reports import CheckReport
 
 if TYPE_CHECKING:
     from .ialgebra import IAlgebra
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SectionTable:
     """Partial map (x, y) -> pseudocomplement of x inside [y, 1].
 
@@ -36,14 +36,20 @@ class SectionTable:
     first use: the n x n grids ``arrow`` (implication cells) and
     ``conj`` (conjunction cells) as element bitmasks, the pairwise
     ``join`` and ``meet`` (None where absent), the negation map, and
-    the arrow-table algebra.
+    the arrow-table algebra.  It keeps the order rows it reads, not the
+    poset that holds it: no reference cycle, and it outlives the poset.
     """
 
-    poset: Poset
+    labels: tuple[str, ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+    top: int
+    bottom: int | None
     entries: dict[tuple[int, int], int]
 
-    def defined(self, x: int, y: int) -> bool:
-        return (x, y) in self.entries
+    def __init__(self, P: Poset, entries: dict[tuple[int, int], int]):
+        self.__dict__.update(labels=P.labels, up=P.up, down=P.down,
+                             top=P.top, bottom=P.bottom, entries=entries)
 
     def get(self, x: int, y: int) -> int | None:
         return self.entries.get((x, y))
@@ -54,15 +60,15 @@ class SectionTable:
     @cached_property
     def arrow(self) -> tuple[tuple[int, ...], ...]:
         """x -> y: the section pseudocomplements against y of Min U(x,y)."""
-        P, entries = self.poset, self.entries
+        up, down, entries = self.up, self.down, self.entries
         mins: dict[int, tuple[int, ...]] = {}  # Min U per upper-bound mask
         rows = []
-        for x in range(P.n):
+        for x in range(len(up)):
             row = []
-            for y in range(P.n):
-                ub = P.up[x] & P.up[y]
+            for y in range(len(up)):
+                ub = up[x] & up[y]
                 if ub not in mins:
-                    mins[ub] = iter_bits(P.min_mask(ub))
+                    mins[ub] = iter_bits(extremal(ub, down))
                 cell = 0
                 for m in mins[ub]:
                     cell |= 1 << entries[(m, y)]
@@ -73,37 +79,32 @@ class SectionTable:
     @cached_property
     def conj(self) -> tuple[tuple[int, ...], ...]:
         """x (.) y: the maximal common lower bounds Max L(x,y)."""
-        P = self.poset
-        return tuple(
-            tuple(P.max_mask(P.down[x] & P.down[y]) for y in range(P.n))
-            for x in range(P.n)
-        )
+        up, down = self.up, self.down
+        return tuple(tuple(extremal(dx & dy, up) for dy in down) for dx in down)
 
     @cached_property
     def join(self) -> tuple[tuple[int | None, ...], ...]:
-        P = self.poset
-        return tuple(tuple(P.join(x, y) for y in range(P.n)) for x in range(P.n))
+        up = self.up
+        return tuple(tuple(bounding_member(ux & uy, up) for uy in up) for ux in up)
 
     @cached_property
     def meet(self) -> tuple[tuple[int | None, ...], ...]:
-        P = self.poset
-        return tuple(tuple(P.meet(x, y) for y in range(P.n)) for x in range(P.n))
+        down = self.down
+        return tuple(tuple(bounding_member(dx & dy, down) for dy in down) for dx in down)
 
     @cached_property
     def negation(self) -> tuple[int, ...] | None:
         """x^0 for every element x, or None when the poset has no bottom."""
-        P = self.poset
-        if P.bottom is None:
+        if self.bottom is None:
             return None
-        return tuple(self.entries[(x, P.bottom)] for x in range(P.n))
+        return tuple(self.entries[(x, self.bottom)] for x in range(len(self.up)))
 
     @cached_property
     def algebra(self) -> IAlgebra:
         """The arrow-table algebra: these implication cells, with the top as unit."""
         from .ialgebra import IAlgebra  # ialgebra imports this module
 
-        P = self.poset
-        return IAlgebra.from_cells(P.labels, self.arrow, P.top)
+        return IAlgebra.from_cells(self.labels, self.arrow, self.top)
 
     def arrow_image(self, mask: int, y: int) -> int:
         """Union of the cells w -> y over the members w of ``mask``."""

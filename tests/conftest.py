@@ -16,8 +16,10 @@ import pytest
 from unsharp import (
     AXIOMS,
     CheckReport,
+    NotALattice,
     build_from_covers,
     enumerate_posets,
+    is_lattice,
     section_table,
     verify_pseudocomplemented_sections,
 )
@@ -461,4 +463,74 @@ def naive_implication_properties(P, all_witnesses: bool = True) -> CheckReport:
     report.run_law("antitone-in-premise", antitone_in_premise(), P.labels_of, all_witnesses)
     report.run_law("double-arrow-expansion", double_arrow_expansion(), P.labels_of, all_witnesses)
     report.run_law("triple-arrow-collapse", triple_arrow_collapse(), P.labels_of, all_witnesses)
+    return report
+
+
+def naive_lattice_relative(P, all_witnesses: bool = True) -> CheckReport:
+    """The lattice-mode relative residuation report with its ``P.le`` law bodies.
+
+    The laws as they stood before the inline bit tests, read from the
+    poset's section table, kept as the oracle the fast report is
+    compared against.
+    """
+    if not is_lattice(P):
+        raise NotALattice("the relative residuation check needs a lattice")
+    table = section_table(P)
+    # on a lattice Min U(x,y) is the join alone, so every arrow cell is a singleton
+    imp = [[cell.bit_length() - 1 for cell in row] for row in table.arrow]
+    join, meet = table.join, table.meet
+    n = P.n
+    report = CheckReport("relative-residuation")
+
+    def multiplication_monotone():
+        for x in range(n):
+            for y in iter_bits(P.up[x]):
+                for z in range(n):
+                    if not P.le(meet[x][z], meet[y][z]):
+                        yield (x, y, z)
+
+    def relative_adjointness():
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    xz, yz = join[x][z], join[y][z]
+                    if P.le(meet[xz][yz], z) != P.le(xz, imp[y][z]):
+                        yield (x, y, z)
+
+    def join_dominance():
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if not P.le(meet[x][z], meet[join[x][y]][z]):
+                        yield (x, y, z)
+
+    def residual_bound():
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    inner = join[meet[join[x][y]][join[z][y]]][y]
+                    if not P.le(join[z][y], imp[x][inner]):
+                        yield (x, y, z)
+
+    def modus_ponens_bound():
+        for x in range(n):
+            for y in range(n):
+                if not P.le(meet[imp[x][y]][join[x][y]], y):
+                    yield (x, y)
+
+    def meet_collapse():
+        for x in range(n):
+            for y in range(n):
+                if table.conj[x][y] != 1 << meet[x][y]:
+                    yield (x, y)
+
+    v_ii = report.run_law("multiplication-monotone", multiplication_monotone(), P.labels_of, all_witnesses)
+    v_iii = report.run_law("relative-adjointness", relative_adjointness(), P.labels_of, all_witnesses)
+    v_iv = report.run_law("join-dominance", join_dominance(), P.labels_of, all_witnesses)
+    v_v = report.run_law("residual-bound", residual_bound(), P.labels_of, all_witnesses)
+    v_vi = report.run_law("modus-ponens-bound", modus_ponens_bound(), P.labels_of, all_witnesses)
+    same = (v_ii.passed and v_iii.passed) == (v_iv.passed and v_v.passed and v_vi.passed)
+    report.run_law("bundle-equivalence", iter(()) if same else iter([()]),
+                   lambda w: (), all_witnesses)
+    report.run_law("meet-collapse", meet_collapse(), P.labels_of, all_witnesses)
     return report

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import unsharp.cli
 from unsharp import ParseError
 from unsharp.cli import main, parse_poset_file, to_dot
 
@@ -232,3 +233,23 @@ def test_unknown_command_and_flag(capsys):
     capsys.readouterr()
     assert main(["tables", "--bogus", str(DATA / "pentagon.poset")]) == 2
     capsys.readouterr()
+
+
+PENTAGON = str(DATA / "pentagon.poset")
+
+
+@pytest.mark.parametrize("first, first_code, second", [
+    (["tables", "--bogus", PENTAGON], 2, ["tables", PENTAGON]),
+    (["tables", "--kind", "conj", PENTAGON], 0, ["tables", PENTAGON]),
+    (["check", "--json", "--all-witnesses", PENTAGON], 0, ["check", PENTAGON]),
+    (["frobnicate"], 2, ["corpus", "--n", "3"]),
+])
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch, first, first_code, second):
+    # the module's one parser serves both calls; the expected output comes
+    # from a parser built for that call alone
+    assert run(capsys, *first)[0] == first_code
+    reused = run(capsys, *second)
+    monkeypatch.setattr(unsharp.cli, "PARSER", unsharp.cli._build_parser())
+    assert reused == run(capsys, *second)
+    if second[0] == "tables":
+        assert reused[1].startswith("→ |")  # the default kind is still imp

@@ -2,11 +2,12 @@
 
 A poset keeps its section table, the table its algebra, the algebra
 its rebuilt poset.  These tests count the section-pseudocomplement
-searches that sharing saves, and check that a poset or an algebra
-which has already served every other report answers exactly as a
-fresh one does.
+searches that sharing saves, check that a poset or an algebra which
+has already served every other report answers exactly as a fresh one
+does, and that none of these links makes a reference cycle.
 """
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from unsharp import (
     IAlgebra,
     Poset,
     PosetError,
+    SectionTable,
     algebra_of,
     axioms_report,
     divisibility_report,
@@ -38,6 +40,7 @@ from unsharp import (
 from unsharp.cli import main
 from unsharp.operators import KINDS
 
+from test_cli_golden import COMMANDS
 from test_ialgebra import single_cell_mutants
 
 DATA = Path(__file__).parent / "data"
@@ -192,3 +195,33 @@ def test_with_cell_shares_no_cached_view(pentagon):
     assert M.cells != A.cells and M.up != A.up and M.down != A.down
     assert failure(lambda: poset_of(M)) == failure(lambda: poset_of(twin)) is not None
     assert (A.cells, A.up, A.down, poset_of(A)) == views
+
+
+def test_nothing_is_left_to_the_cycle_collector(capsys):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector frees, to inspect it
+    try:
+        for path in sorted(DATA.glob("*.poset")):
+            for lead, flag_sets in COMMANDS.values():
+                for flags in flag_sets:
+                    main([*lead, *flags, str(path)])
+        for n in range(1, 5):
+            for P in enumerate_posets(n):
+                if P.top is not None and verify_pseudocomplemented_sections(P)[0].passed:
+                    for run in outcomes(P).values():
+                        run()
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, (Poset, SectionTable, IAlgebra))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert cyclic == []
+
+
+def test_table_outlives_its_poset(crown_tail):
+    table = section_table(fresh(crown_tail))  # the fresh poset is freed at once
+    expected = section_table(crown_tail)
+    assert table.arrow == expected.arrow
+    assert table.algebra == expected.algebra
+    assert rebuilt(poset_of(table.algebra)) == rebuilt(poset_of(expected.algebra))
