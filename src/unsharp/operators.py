@@ -93,35 +93,25 @@ def operator_table(P: Poset, kind: str) -> OperatorTable:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if kind == "imp":
         return OperatorTable(P, kind, section_table(P).algebra.arrow)
-    cells: list[list[frozenset[int] | None]] = []
-    if kind == "xy":
-        if P.top is None:
-            raise NoTopElement("section tables require a top element")
-        _, table = verify_pseudocomplemented_sections(P)
-        for x in range(P.n):
-            row: list[frozenset[int] | None] = []
-            for y in range(P.n):
-                if P.le(y, x):
-                    z = section_pseudocomplement(P, x, y) if table is None else table.entries[(x, y)]
-                    row.append(None if z is None else frozenset((z,)))
-                else:
-                    row.append(None)
-            cells.append(row)
+    if kind == "conj":
+        cells = [[frozenset(iter_bits(P.max_mask(dx & dy))) for dy in P.down] for dx in P.down]
     else:
-        single = {
+        search = {
+            "xy": section_pseudocomplement,
             "rel": relative_pseudocomplement,
             "circ": sectional_pseudocomplement,
-        }
-        for x in range(P.n):
-            row = []
-            for y in range(P.n):
-                if kind == "conj":
-                    row.append(frozenset(conjunction(P, x, y)))
-                else:
-                    z = single[kind](P, x, y)
-                    row.append(None if z is None else frozenset((z,)))
-            cells.append(row)
-    return OperatorTable(P, kind, tuple(tuple(row) for row in cells))
+        }[kind]
+        if kind == "xy":
+            if P.top is None:
+                raise NoTopElement("section tables require a top element")
+            _, table = verify_pseudocomplemented_sections(P)
+            if table is not None:
+                search = lambda _, x, y: table.get(x, y)
+        cells = [
+            [None if z is None else frozenset((z,)) for z in (search(P, x, y) for y in range(P.n))]
+            for x in range(P.n)
+        ]
+    return OperatorTable(P, kind, tuple(map(tuple, cells)))
 
 
 def implication_properties_report(P: Poset, all_witnesses: bool = False) -> CheckReport:

@@ -21,14 +21,17 @@ from .errors import (
 )
 
 
-# the set bit positions of every byte value, ascending
+# the set bit positions of every byte value, ascending, as a low and as a high byte
 _BYTE_BITS = tuple(tuple(b for b in range(8) if m >> b & 1) for m in range(256))
+_HIGH_BYTE_BITS = tuple(tuple(b + 8 for b in bits) for bits in _BYTE_BITS)
 
 
 def iter_bits(mask: int) -> tuple[int, ...]:
     """The set bit positions of the non-negative ``mask``, ascending."""
     if mask < 256:
         return _BYTE_BITS[mask]
+    if mask < 65536:
+        return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
     out: list[int] = []
     base = 0
     while mask:
@@ -181,6 +184,13 @@ class Poset:
             out |= self.down[a]
         return out
 
+    def up_closure(self, mask: int) -> int:
+        """Everything above some element of ``mask``."""
+        out = 0
+        for a in iter_bits(mask):
+            out |= self.up[a]
+        return out
+
     def min_mask(self, mask: int) -> int:
         return extremal(mask, self.down)
 
@@ -253,16 +263,12 @@ def build_from_covers(labels: Sequence[str], covers) -> Poset:
     up = [1 << i for i in range(n)]
     for low, high in edges:
         up[low] |= 1 << high
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = up[i]
-            for j in iter_bits(acc):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+    # Warshall: after step k, row i holds every j reachable through points 0..k
+    for k in range(n):
+        bit, row = 1 << k, up[k]
+        for i, r in enumerate(up):
+            if r & bit:
+                up[i] = r | row
     for i in range(n):
         for j in iter_bits(up[i]):
             if i != j and up[j] >> i & 1:

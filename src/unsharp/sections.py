@@ -117,21 +117,17 @@ class SectionTable:
 def section_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     """Greatest z with L(x,z) n [y,1] = {y}, or None when no greatest exists.
 
-    The candidates are searched inside the section [y,1] only: y must
-    lie in L(x,z), so any candidate satisfies y <= z (and there is none
-    unless y <= x).
+    y must lie in L(x,z), so there is no candidate unless y <= x, and
+    every candidate lies in [y,1].  Such a z fails exactly when some s
+    in S = L(x) n [y,1] - {y} lies below it, so the candidates are
+    [y,1] minus the up-closure of S.
     """
     if P.top is None:
         raise NoTopElement("section pseudocomplements require a top element")
     sec = P.up[y]
-    want = 1 << y
-    cand = 0
-    for z in iter_bits(sec):
-        if P.down[x] & P.down[z] & sec == want:
-            cand |= 1 << z
-    if not cand:
+    if not sec >> x & 1:
         return None
-    return P.greatest_of(cand)
+    return P.greatest_of(sec & ~P.up_closure(P.down[x] & sec & ~(1 << y)))
 
 
 def verify_pseudocomplemented_sections(
@@ -187,40 +183,34 @@ def section_table(P: Poset) -> SectionTable:
 
 
 def relative_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
-    """Greatest z with L(x,z) contained in L(y), or None."""
-    cand = 0
-    for z in range(P.n):
-        if not P.down[x] & P.down[z] & ~P.down[y]:
-            cand |= 1 << z
-    if not cand:
-        return None
-    return P.greatest_of(cand)
+    """Greatest z with L(x,z) contained in L(y), or None.
+
+    z fails exactly when some s in L(x) - L(y) lies below it, so the
+    candidates are the carrier minus the up-closure of L(x) - L(y).
+    """
+    return P.greatest_of(P.full & ~P.up_closure(P.down[x] & ~P.down[y]))
 
 
 def sectional_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
-    """Greatest z with L(U(x,y), z) = L(y), or None."""
+    """Greatest z with L(U(x,y), z) = L(y), or None.
+
+    L(y) lies inside L(U(x,y)), so the equation asks y <= z and that no
+    s in L(U(x,y)) - L(y) lies below z: the candidates are [y,1] minus
+    the up-closure of L(U(x,y)) - L(y).
+    """
     lu = P.lower_mask(P.up[x] & P.up[y])
-    cand = 0
-    for z in range(P.n):
-        if lu & P.down[z] == P.down[y]:
-            cand |= 1 << z
-    if not cand:
-        return None
-    return P.greatest_of(cand)
+    return P.greatest_of(P.up[y] & ~P.up_closure(lu & ~P.down[y]))
 
 
 def pseudocomplement(P: Poset, x: int) -> int | None:
-    """Greatest z with L(x,z) = {0}; needs a bottom element."""
+    """Greatest z with L(x,z) = {0}; needs a bottom element.
+
+    The bottom lies in every L(x,z), so z fails exactly when some s in
+    L(x) other than the bottom lies below it.
+    """
     if P.bottom is None:
         raise NoBottomElement("pseudocomplements require a bottom element")
-    want = 1 << P.bottom
-    cand = 0
-    for z in range(P.n):
-        if P.down[x] & P.down[z] == want:
-            cand |= 1 << z
-    if not cand:
-        return None
-    return P.greatest_of(cand)
+    return P.greatest_of(P.full & ~P.up_closure(P.down[x] & ~(1 << P.bottom)))
 
 
 def negation(P: Poset, x: int) -> int:

@@ -16,6 +16,7 @@ import pytest
 from unsharp import (
     AXIOMS,
     CheckReport,
+    CycleDetected,
     NotALattice,
     build_from_covers,
     enumerate_posets,
@@ -146,6 +147,44 @@ def naive_conjunction(P, x, y) -> set[int]:
 def naive_relative_pc(P, x, y) -> int | None:
     cands = [z for z in range(P.n) if naive_lower(P, [x, z]) <= naive_lower(P, [y])]
     return naive_greatest(P, cands)
+
+
+def naive_sectional_pc(P, x, y) -> int | None:
+    """Greatest z with L(U(x,y), z) = L(y), straight from the set definition."""
+    lu, ly = naive_lower(P, naive_upper(P, [x, y])), naive_lower(P, [y])
+    cands = [z for z in range(P.n) if lu & naive_lower(P, [z]) == ly]
+    return naive_greatest(P, cands)
+
+
+def naive_closure(labels, covers) -> tuple[int, ...]:
+    """Up rows of ``build_from_covers(labels, covers)``, or its CycleDetected.
+
+    The closure as it stood before the one-pass Warshall closure: whole
+    passes over every row until one changes nothing; the bits of a row
+    are read with a plain range scan.
+    """
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    up = [1 << i for i in range(n)]
+    for low, high in covers:
+        up[index[low]] |= 1 << index[high]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = up[i]
+            for j in [j for j in range(n) if acc >> j & 1]:
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    for i in range(n):
+        for j in [j for j in range(n) if up[i] >> j & 1]:
+            if i != j and up[j] >> i & 1:
+                raise CycleDetected(
+                    f"covers force {labels[i]} <= {labels[j]} and conversely"
+                )
+    return tuple(up)
 
 
 def naive_is_poset(up_rows: tuple[int, ...]) -> bool:

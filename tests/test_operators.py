@@ -3,21 +3,35 @@ from hypothesis import given, settings
 
 from unsharp import (
     EmptyOperand,
+    NoBottomElement,
+    NoTopElement,
     NotPseudocomplementedSections,
+    PosetError,
     build_from_covers,
     conjunction,
     conjunction_of_sets,
     downset_conjunction,
+    enumerate_posets,
     implication,
     implication_properties_report,
     is_lattice,
     operator_table,
+    pseudocomplement,
     relative_pseudocomplement,
+    section_pseudocomplement,
     section_table,
+    sectional_pseudocomplement,
 )
 from unsharp.cli import render_table
+from unsharp.operators import KINDS
 
-from conftest import naive_conjunction, naive_implication
+from conftest import (
+    naive_conjunction,
+    naive_implication,
+    naive_relative_pc,
+    naive_section_pc,
+    naive_sectional_pc,
+)
 from reference_tables import (
     CROWN_IMP,
     CROWN_REL,
@@ -228,3 +242,56 @@ def test_dominance_fails_per_pair_without_totality():
     assert implication(P, d, c) == (c,)
     assert P.lt(c, b)
     assert relative_pseudocomplement(P, b, c) is None
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type of the PosetError it raises."""
+    try:
+        return call(*args)
+    except PosetError as exc:
+        return type(exc)
+
+
+def naive_table_cells(P, kind):
+    """The cells ``operator_table(P, kind)`` must hold, or the error type it must raise."""
+    pairs = [(x, y) for x in range(P.n) for y in range(P.n)]
+    if kind == "conj":
+        return [frozenset(naive_conjunction(P, x, y)) for x, y in pairs]
+    if P.top is None and kind in ("xy", "imp"):
+        return NoTopElement if kind == "xy" else NotPseudocomplementedSections
+    xy = {(x, y): naive_section_pc(P, x, y) for x, y in pairs}
+    if kind == "imp":
+        if any(xy[x, y] is None for x, y in pairs if P.le(y, x)):
+            return NotPseudocomplementedSections
+        return [frozenset(naive_implication(P, x, y)) for x, y in pairs]
+    single = {"xy": xy.get, "rel": lambda p: naive_relative_pc(P, *p),
+              "circ": lambda p: naive_sectional_pc(P, *p)}[kind]
+    return [None if z is None else frozenset((z,)) for z in map(single, pairs)]
+
+
+def check_searches_and_tables(P):
+    for x in range(P.n):
+        for y in range(P.n):
+            want = NoTopElement if P.top is None else naive_section_pc(P, x, y)
+            assert outcome(section_pseudocomplement, P, x, y) == want
+            assert relative_pseudocomplement(P, x, y) == naive_relative_pc(P, x, y)
+            assert sectional_pseudocomplement(P, x, y) == naive_sectional_pc(P, x, y)
+        # x^0 is the section pseudocomplement against the bottom
+        want = NoBottomElement if P.bottom is None else naive_section_pc(P, x, P.bottom)
+        assert outcome(pseudocomplement, P, x) == want
+    for kind in KINDS:
+        got = outcome(lambda: [c for row in operator_table(P, kind).cells for c in row])
+        assert got == naive_table_cells(P, kind), kind
+
+
+def test_searches_and_tables_match_oracles_on_small_posets():
+    # every labeled poset on 1-4 points, topless and not-pc ones included
+    for n in range(1, 5):
+        for P in enumerate_posets(n):
+            check_searches_and_tables(P)
+
+
+@settings(max_examples=12, deadline=None)
+@given(posets(max_n=16, min_n=9))
+def test_searches_and_tables_match_oracles_on_large_posets(P):
+    check_searches_and_tables(P)

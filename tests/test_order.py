@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from unsharp import (
 from unsharp.order import Poset, iter_bits
 
 from conftest import (
+    naive_closure,
     naive_greatest,
     naive_least,
     naive_lower,
@@ -31,8 +34,8 @@ from conftest import (
 
 
 @st.composite
-def posets(draw, max_n=6):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def posets(draw, max_n=6, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     labels = [f"x{i}" for i in range(n)]
     pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
     covers = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -243,7 +246,37 @@ def test_min_of_upper_cone_nonempty_with_top(P):
 
 
 def test_iter_bits_matches_naive_bit_list():
-    for mask in range(1 << 12):
-        assert iter_bits(mask) == tuple(b for b in range(12) if mask >> b & 1)
-    for mask in ((1 << 64) | 1, 3 << 63, (1 << 130) - 1, 0xA5 << 200 | 1 << 77 | 6):
+    # every one- and two-byte mask, then both sides of the two-byte limit
+    for mask in range(1 << 16):
+        assert iter_bits(mask) == tuple(b for b in range(16) if mask >> b & 1)
+    for mask in ((1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 64) | 1, 3 << 63,
+                 (1 << 130) - 1, 0xA5 << 200 | 1 << 77 | 6):
         assert iter_bits(mask) == tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def test_build_from_covers_matches_fixpoint_closure():
+    # seeded cover lists on 1-16 points: an order-respecting half (no cycle
+    # unless a reversed pair is mixed in) and a free half, both with
+    # repeated pairs and p<p items
+    rng = random.Random(20211)
+    for trial in range(600):
+        n = rng.randint(1, 16)
+        labels = [f"p{i}" for i in range(n)]
+        rank = rng.sample(range(n), n)
+        covers = []
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if trial % 2 == 0 and rank[a] > rank[b] and rng.random() < 0.9:
+                a, b = b, a
+            covers.append((labels[a], labels[b]))
+        covers += rng.sample(covers, min(len(covers), 2))
+        covers += [(labels[p], labels[p]) for p in rng.sample(range(n), min(n, 2))]
+        rng.shuffle(covers)
+        try:
+            expected = naive_closure(labels, covers)
+        except CycleDetected as exc:
+            with pytest.raises(CycleDetected) as got:
+                build_from_covers(labels, covers)
+            assert str(got.value) == str(exc)
+        else:
+            assert build_from_covers(labels, covers).up == expected
