@@ -1,6 +1,6 @@
 """Batch front door: poset files in, tables / reports / DOT / JSON out.
 
-File grammar (line oriented)::
+File grammar (line oriented, UTF-8)::
 
     poset <name>
     elements: <label> <label> ...
@@ -8,11 +8,15 @@ File grammar (line oriented)::
 
 ``#`` starts a comment, blank lines are ignored, several documents may
 share a file (each starts at its ``poset`` header), and ``elements:`` /
-``covers:`` lines may repeat and accumulate.
+``covers:`` lines may repeat and accumulate.  A label is any run of
+non-blank characters without ``<``, ``{``, ``}`` or ``,``, other than
+``-`` alone, so that every table cell reads back unambiguously.
 
 Table cells are printed as a bare label (singleton), ``{a,b}`` with
 members in declaration order, or ``-`` (undefined).  Exit status: 0
 when everything passed, 1 when some check failed, 2 on input errors.
+Every input error names a line: a syntax error its own, and a duplicate
+label, unknown cover label or cycle the ``poset`` header of its document.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .residuation import (
 from .sections import glivenko_skeleton, negation_laws_report, verify_pseudocomplemented_sections
 
 TABLE_SYMBOL = {"xy": "x^y", "imp": "→", "conj": "⊙", "rel": "*", "circ": "∘"}
+_RESERVED = frozenset("<{},")  # the cover and table-cell syntax
 
 
 @dataclass(frozen=True)
@@ -48,9 +53,13 @@ class PosetDocument:
     name: str
     labels: tuple[str, ...]
     covers: tuple[tuple[str, str], ...]
+    line: int  # of the ``poset`` header
 
     def build(self) -> Poset:
-        return build_from_covers(self.labels, self.covers)
+        try:
+            return build_from_covers(self.labels, self.covers)
+        except PosetError as exc:
+            raise type(exc)(f"line {self.line}: {exc}") from None
 
 
 def parse_poset_file(text: str) -> list[PosetDocument]:
@@ -67,7 +76,7 @@ def parse_poset_file(text: str) -> list[PosetDocument]:
             return
         if not labels:
             raise ParseError(f"poset {name!r} declares no elements", header_line)
-        docs.append(PosetDocument(name, tuple(labels), tuple(covers)))
+        docs.append(PosetDocument(name, tuple(labels), tuple(covers), header_line))
         name, labels, covers = None, [], []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -86,7 +95,10 @@ def parse_poset_file(text: str) -> list[PosetDocument]:
         elif line.startswith("elements:"):
             if name is None:
                 raise ParseError("elements: before any poset header", lineno)
-            labels.extend(line[len("elements:"):].split())
+            for label in line[len("elements:"):].split():
+                if label == "-" or not _RESERVED.isdisjoint(label):
+                    raise ParseError(f"bad label {label!r} (no '-', '<', '{{', '}}' or ',')", lineno)
+                labels.append(label)
         elif line.startswith("covers:"):
             if name is None:
                 raise ParseError("covers: before any poset header", lineno)
@@ -157,158 +169,115 @@ def to_dot(P: Poset, name: str = "poset") -> str:
 # -- commands ------------------------------------------------------------------
 
 
-def _prefixed_verdicts(reports: list[CheckReport]) -> list[dict]:
-    out = []
-    for r in reports:
-        for v in r.verdicts:
-            d = v.as_dict()
-            d["law"] = f"{r.name}:{v.law}"
-            out.append(d)
-    return out
-
-
-def _print_reports(doc_name: str, reports: list[CheckReport], as_json: bool) -> bool:
-    ok = all(r.passed for r in reports)
-    if as_json:
-        print(json.dumps({"name": doc_name, "pass": ok,
-                          "verdicts": _prefixed_verdicts(reports)}))
-    else:
-        for r in reports:
-            for line in r.lines():
-                print(f"[{r.name}] {line}")
-    return ok
-
-
 def _load_docs(path: str) -> list[PosetDocument]:
-    with open(path, encoding="utf-8") as handle:
-        return parse_poset_file(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line holding the first bad byte, counted as the parser counts lines
+        line = len((data[:exc.start].decode() + ".").splitlines())
+        raise ParseError("not valid UTF-8", line) from None
+    return parse_poset_file(text)
 
 
-def _cmd_tables(args) -> int:
+def _print_blocks(args) -> int:
+    """``tables`` and ``dot``: one block per document, printed once all are built."""
     docs = _load_docs(args.file)
-    out = []
-    for doc in docs:
-        table = operator_table(doc.build(), args.kind)
-        if args.json:
-            P = table.poset
-            out.append(json.dumps({
-                "name": doc.name,
-                "kind": args.kind,
-                "labels": list(P.labels),
-                "cells": [
-                    [None if c is None else [P.labels[i] for i in sorted(c)]
-                     for c in row]
-                    for row in table.cells
-                ],
-            }))
-        else:
-            out.append(render_table(table))
-    print("\n\n".join(out))
+    print("\n\n".join(args.block(args, doc.build(), doc.name) for doc in docs))
     return 0
 
 
-def _cmd_check(args) -> int:
+def _run_reports(args) -> int:
+    """The report commands.  ``args.report`` maps a poset and ``all_witnesses``
+    to its pass/fail, its JSON fields after ``"pass"`` and its text lines."""
     ok = True
     for doc in _load_docs(args.file):
-        P = doc.build()
-        verify, _ = verify_pseudocomplemented_sections(P, args.all_witnesses)
-        reports = [verify]
-        if verify.passed:
-            reports.append(implication_properties_report(P, args.all_witnesses))
-            reports.append(axioms_report(algebra_of(P), all_witnesses=args.all_witnesses))
-            if P.bottom is not None:
-                reports.append(negation_laws_report(P, args.all_witnesses))
-        ok &= _print_reports(doc.name, reports, args.json)
-    return 0 if ok else 1
-
-
-def _cmd_roundtrip(args) -> int:
-    ok = True
-    for doc in _load_docs(args.file):
-        P = doc.build()
-        verify, _ = verify_pseudocomplemented_sections(P, args.all_witnesses)
-        reports = [verify]
-        if verify.passed:
-            reports.append(roundtrip_check(P, args.all_witnesses))
-            reports.append(roundtrip_check(algebra_of(P), args.all_witnesses))
-        ok &= _print_reports(doc.name, reports, args.json)
-    return 0 if ok else 1
-
-
-def _cmd_residuation(args) -> int:
-    ok = True
-    for doc in _load_docs(args.file):
-        P = doc.build()
-        res = unsharp_residuation_report(P, args.all_witnesses)
-        div = divisibility_report(P, args.all_witnesses)
-        lat = [lattice_relative_residuation_report(P, args.all_witnesses)] if is_lattice(P) else []
-        passed = res.passed and div.passed and all(r.passed for r in lat)
-        if args.json:
-            payload = res.as_dict()
-            payload["name"] = doc.name
-            payload["pass"] = passed
-            payload["verdicts"] += _prefixed_verdicts([div, *lat])
-            print(json.dumps(payload))
-        else:
-            _print_reports(doc.name, [res], False)
-            if res.readings_diverge:
-                print("[unsharp-residuation] NOTE monotone readings diverge "
-                      "(per-member holds, single-dominator fails)")
-            _print_reports(doc.name, [div, *lat], False)
+        passed, fields, lines = args.report(doc.build(), args.all_witnesses)
+        print(json.dumps({"name": doc.name, "pass": passed, **fields}) if args.json
+              else "\n".join(lines))
         ok &= passed
     return 0 if ok else 1
 
 
-def _cmd_skeleton(args) -> int:
-    ok = True
-    for doc in _load_docs(args.file):
-        P = doc.build()
-        sub, report = glivenko_skeleton(P, args.all_witnesses)
-        if args.json:
-            print(json.dumps({
-                "name": doc.name,
-                "pass": report.passed,
-                "skeleton": list(sub.labels),
-                "covers": [list(c) for c in cover_relation(sub)],
-                "verdicts": [v.as_dict() for v in report.verdicts],
-            }))
-        else:
-            print(f"skeleton: {' '.join(sub.labels)}")
-            print("covers: " + " ".join(f"{lo}<{hi}" for lo, hi in cover_relation(sub)))
-            _print_reports(doc.name, [report], False)
-        ok &= report.passed
-    return 0 if ok else 1
+def _table_block(args, P: Poset, name: str) -> str:
+    table = operator_table(P, args.kind)
+    if not args.json:
+        return render_table(table)
+    return json.dumps({
+        "name": name,
+        "kind": args.kind,
+        "labels": list(P.labels),
+        "cells": [[None if c is None else [P.labels[i] for i in sorted(c)] for c in row]
+                  for row in table.cells],
+    })
 
 
-def _cmd_corpus(args) -> int:
+def _joined(reports: list[CheckReport]) -> tuple[bool, dict, list[str]]:
+    """Several reports as one, each law and line tagged with its report's name."""
+    verdicts = [{**v.as_dict(), "law": f"{r.name}:{v.law}"} for r in reports for v in r.verdicts]
+    lines = [f"[{r.name}] {line}" for r in reports for line in r.lines()]
+    return all(r.passed for r in reports), {"verdicts": verdicts}, lines
+
+
+def _check(P: Poset, all_witnesses: bool):
+    verify, _ = verify_pseudocomplemented_sections(P, all_witnesses)
+    reports = [verify]
+    if verify.passed:
+        reports.append(implication_properties_report(P, all_witnesses))
+        reports.append(axioms_report(algebra_of(P), all_witnesses=all_witnesses))
+        if P.bottom is not None:
+            reports.append(negation_laws_report(P, all_witnesses))
+    return _joined(reports)
+
+
+def _roundtrip(P: Poset, all_witnesses: bool):
+    verify, _ = verify_pseudocomplemented_sections(P, all_witnesses)
+    reports = [verify]
+    if verify.passed:
+        reports.append(roundtrip_check(P, all_witnesses))
+        reports.append(roundtrip_check(algebra_of(P), all_witnesses))
+    return _joined(reports)
+
+
+def _residuation(P: Poset, all_witnesses: bool):
+    res = unsharp_residuation_report(P, all_witnesses)
+    rest = [divisibility_report(P, all_witnesses)]
+    if is_lattice(P):
+        rest.append(lattice_relative_residuation_report(P, all_witnesses))
+    passed, fields, lines = _joined(rest)
+    note = ["[unsharp-residuation] NOTE monotone readings diverge "
+            "(per-member holds, single-dominator fails)"] if res.readings_diverge else []
+    return (
+        res.passed and passed,
+        {"readings-diverge": res.readings_diverge,
+         "verdicts": [v.as_dict() for v in res.verdicts] + fields["verdicts"]},
+        [f"[{res.name}] {line}" for line in res.lines()] + note + lines,
+    )
+
+
+def _skeleton(P: Poset, all_witnesses: bool):
+    sub, report = glivenko_skeleton(P, all_witnesses)
+    covers = cover_relation(sub)
+    fields = {"skeleton": list(sub.labels), "covers": [list(c) for c in covers],
+              "verdicts": [v.as_dict() for v in report.verdicts]}
+    lines = [f"skeleton: {' '.join(sub.labels)}",
+             "covers: " + " ".join(f"{lo}<{hi}" for lo, hi in covers),
+             *(f"[{report.name}] {line}" for line in report.lines())]
+    return report.passed, fields, lines
+
+
+def _corpus(args) -> int:
     if args.dedup:
-        classes = 0
-        orbit_sum = 0
-        for _, orbit in enumerate_canonical(args.n, force=args.force):
-            classes += 1
-            orbit_sum += orbit
-        if args.json:
-            print(json.dumps({"n": args.n, "classes": classes, "orbit_sum": orbit_sum}))
-        else:
-            print(f"n={args.n} classes={classes} orbit_sum={orbit_sum}")
-        return 0
-    stats = corpus_stats(args.n, force=args.force)
-    if args.json:
-        print(json.dumps(stats.as_dict()))
+        orbits = [orbit for _, orbit in enumerate_canonical(args.n, force=args.force)]
+        record = {"n": args.n, "classes": len(orbits), "orbit_sum": sum(orbits)}
+        line = " ".join(f"{key}={value}" for key, value in record.items())
     else:
-        print(
-            f"n={stats.n} posets={stats.total_posets} with_top={stats.with_top} "
-            f"pc_sections={stats.pc_sections} lattices={stats.lattices} "
-            f"rel_pc={stats.rel_pc}"
-        )
-    return 0
-
-
-def _cmd_dot(args) -> int:
-    out = []
-    for doc in _load_docs(args.file):
-        out.append(to_dot(doc.build(), doc.name))
-    print("\n\n".join(out))
+        stats = corpus_stats(args.n, force=args.force)
+        record = stats.as_dict()
+        line = (f"n={stats.n} posets={stats.total_posets} with_top={stats.with_top} "
+                f"pc_sections={stats.pc_sections} lattices={stats.lattices} rel_pc={stats.rel_pc}")
+    print(json.dumps(record) if args.json else line)
     return 0
 
 
@@ -319,9 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_file=True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+    def add(name, help, func, needs_file=True, **defaults):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, **defaults)
         if needs_file:
             p.add_argument("file", help="poset document file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -329,20 +298,24 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="list every counterexample, not just the first")
         return p
 
-    p_tables = add("tables", _cmd_tables, help="print an operator table")
+    p_tables = add("tables", "print an operator table", _print_blocks, block=_table_block)
     p_tables.add_argument("--kind", choices=KINDS, default="imp")
-    add("check", _cmd_check, help="verify sections, operator laws and algebra axioms")
-    add("roundtrip", _cmd_roundtrip, help="certify the poset/algebra translations invert")
-    add("residuation", _cmd_residuation, help="residuation and divisibility certificates")
-    add("skeleton", _cmd_skeleton, help="double-negation skeleton and complementation")
-    p_corpus = add("corpus", _cmd_corpus, needs_file=False,
-                   help="enumerate small posets and aggregate statistics")
+    for name, help, report in (
+        ("check", "verify sections, operator laws and algebra axioms", _check),
+        ("roundtrip", "certify the poset/algebra translations invert", _roundtrip),
+        ("residuation", "residuation and divisibility certificates", _residuation),
+        ("skeleton", "double-negation skeleton and complementation", _skeleton),
+    ):
+        add(name, help, _run_reports, report=report)
+    p_corpus = add("corpus", "enumerate small posets and aggregate statistics", _corpus,
+                   needs_file=False)
     p_corpus.add_argument("--n", type=int, required=True)
     p_corpus.add_argument("--dedup", action="store_true",
                           help="canonical representatives with orbit sums")
     p_corpus.add_argument("--force", action="store_true",
                           help="allow the expensive n=7 run")
-    add("dot", _cmd_dot, help="export the cover relation as a DOT digraph")
+    add("dot", "export the cover relation as a DOT digraph", _print_blocks,
+        block=lambda args, P, name: to_dot(P, name))
     return parser
 
 
@@ -358,10 +331,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PosetError as exc:
+    except (OSError, PosetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,6 +44,13 @@ def test_parse_singleton():
         ("poset p\nelements: a b\nnonsense", 3),
         ("poset p\n", 1),
         ("poset \nelements: a", 1),
+        ("posetX\nelements: a", 1),
+        ("elements: a", 1),
+        ("# only a comment\n\n", 1),
+        ("poset p\nelements: a{ b,c", 2),
+        ("poset p\nelements: a\nelements: b -", 3),
+        ("poset p\nelements: a<b", 2),
+        ("poset p\nelements: a}", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -180,6 +187,8 @@ def test_corpus_command(capsys):
     code, out, _ = run(capsys, "corpus", "--n", "4", "--dedup", "--json")
     payload = json.loads(out)
     assert payload == {"n": 4, "classes": 16, "orbit_sum": 219}
+    code, out, _ = run(capsys, "corpus", "--n", "4", "--dedup")
+    assert (code, out) == (0, "n=4 classes=16 orbit_sum=219\n")
 
 
 def test_corpus_guard_maps_to_input_error(capsys):
@@ -226,6 +235,30 @@ def test_exit_codes_on_bad_files(capsys, tmp_path):
     cyclic.write_text("poset c\nelements: p q\ncovers: p<q q<p\n")
     code, _, err = run(capsys, "check", str(cyclic))
     assert code == 2
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\xff", 1),
+    (b"poset p\r\nelements: a \xc3\r\ncovers: a<a\n", 2),
+])
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path, data, line):
+    path = tmp_path / "latin.poset"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"error: line {line}: not valid UTF-8\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("elements: a b a", "duplicate label 'a'"),
+    ("elements: a b\ncovers: a<c", "unknown label 'c' in covers"),
+    ("elements: a b\ncovers: a<b b<a", "covers force a <= b and conversely"),
+])
+def test_build_errors_name_their_document(capsys, tmp_path, body, message):
+    path = tmp_path / "bad.poset"
+    path.write_text(f"poset fine\nelements: x\n\n# the second document\nposet bad\n{body}\n")
+    for command in ("tables", "check", "dot"):
+        code, _, err = run(capsys, command, str(path))
+        assert (code, err) == (2, f"error: line 5: {message}\n")
 
 
 def test_unknown_command_and_flag(capsys):
