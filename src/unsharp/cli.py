@@ -17,6 +17,9 @@ members in declaration order, or ``-`` (undefined).  Exit status: 0
 when everything passed, 1 when some check failed, 2 on input errors.
 Every input error names a line: a syntax error its own, and a duplicate
 label, unknown cover label or cycle the ``poset`` header of its document.
+A document may declare at most ``MAX_ELEMENTS`` (64) elements; a larger
+one is a ``SizeLimitExceeded`` input error at its ``poset`` header line,
+raised before any document of the file is checked.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from .corpus import corpus_stats, enumerate_canonical
-from .errors import ParseError, PosetError
+from .errors import ParseError, PosetError, SizeLimitExceeded
 from .ialgebra import algebra_of, axioms_report, roundtrip_check
 from .operators import (
     KINDS,
@@ -46,6 +49,7 @@ from .sections import glivenko_skeleton, negation_laws_report, verify_pseudocomp
 
 TABLE_SYMBOL = {"xy": "x^y", "imp": "→", "conj": "⊙", "rel": "*", "circ": "∘"}
 _RESERVED = frozenset("<{},")  # the cover and table-cell syntax
+MAX_ELEMENTS = 64  # per document; the criteria cost about 50 ms per poset at 32 points
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,9 @@ def parse_poset_file(text: str) -> list[PosetDocument]:
             return
         if not labels:
             raise ParseError(f"poset {name!r} declares no elements", header_line)
+        if len(labels) > MAX_ELEMENTS:
+            raise SizeLimitExceeded(f"line {header_line}: poset {name!r} declares "
+                                    f"{len(labels)} elements, more than {MAX_ELEMENTS}")
         docs.append(PosetDocument(name, tuple(labels), tuple(covers), header_line))
         name, labels, covers = None, [], []
 

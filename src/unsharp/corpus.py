@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .errors import SizeLimitExceeded
-from .order import Poset, is_lattice, iter_bits
-from .sections import SectionTable, relative_pseudocomplement, verify_pseudocomplemented_sections
+from .order import Poset, bounding_member, is_lattice, iter_bits
+from .sections import SectionTable, verify_pseudocomplemented_sections
 
 LABELS = "abcdefg"
 MAX_N = 7
@@ -47,14 +47,20 @@ def _labels(n: int, force: bool) -> tuple[str, ...]:
 
 
 def _labeled_relations(n: int) -> Iterator[tuple[int, ...]]:
-    # yields the closed up-rows of every labeled poset on n points
-    def grow(k: int, up: list[int], down: list[int]) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            yield tuple(up)
-            return
-        bit = 1 << k
-        full = (1 << k) - 1
-        for ideal in range(full + 1):
+    # yields the closed up-rows of every labeled poset on n points: each
+    # (n - 1)-point poset in its own order, then its one-point extensions
+    # (ideals ascending, filters descending), all streamed from this frame
+    if n == 1:
+        yield (1,)
+        return
+    bit = 1 << (n - 1)
+    full = bit - 1
+    for up in _labeled_relations(n - 1):
+        down = [0] * (n - 1)
+        for x, row in enumerate(up):
+            for y in iter_bits(row):
+                down[y] |= 1 << x
+        for ideal in range(bit):
             closure = 0
             for x in iter_bits(ideal):
                 closure |= down[x]
@@ -63,25 +69,18 @@ def _labeled_relations(n: int) -> Iterator[tuple[int, ...]]:
             region = full & ~ideal
             for x in iter_bits(ideal):
                 region &= up[x]
+            # every filter of this ideal shares the old rows, with the new point above the ideal
+            prefix = tuple([row | bit if ideal >> x & 1 else row for x, row in enumerate(up)])
             flt = region
             while True:
                 closure = 0
                 for y in iter_bits(flt):
                     closure |= up[y]
                 if closure == flt:
-                    new_up = [
-                        up[x] | (bit if ideal >> x & 1 else 0) for x in range(k)
-                    ]
-                    new_up.append(bit | flt)
-                    new_down = [
-                        down[x] | (bit if flt >> x & 1 else 0) for x in range(k)
-                    ]
-                    new_down.append(bit | ideal)
-                    yield from grow(k + 1, new_up, new_down)
+                    yield prefix + (bit | flt,)
                 if flt == 0:
                     break
                 flt = (flt - 1) & region
-    yield from grow(1, [1], [1])
 
 
 def enumerate_posets(n: int, force: bool = False) -> Iterator[Poset]:
@@ -144,11 +143,21 @@ class CorpusStats:
 
 
 def _relatively_pseudocomplemented(P: Poset) -> bool:
-    return all(
-        relative_pseudocomplement(P, x, y) is not None
-        for x in range(P.n)
-        for y in range(P.n)
-    )
+    # x * y is the greatest member of the carrier minus the up-closure of L(x) - L(y)
+    if P.top is None:
+        return False  # a pair x <= y leaves the whole carrier, which then has no greatest
+    up, down, full = P.up, P.down, P.full
+    for dx in down:
+        for dy in down:
+            diff = dx & ~dy
+            if not diff:
+                continue  # the whole carrier is left: its greatest is the top
+            closure = 0
+            for s in iter_bits(diff):
+                closure |= up[s]
+            if bounding_member(full & ~closure, down) is None:
+                return False
+    return True
 
 
 def corpus_stats(n: int, force: bool = False) -> CorpusStats:

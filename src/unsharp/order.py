@@ -334,8 +334,11 @@ def bound_of_pair(P: Poset, a: int, b: int, direction: str) -> int | None:
 
 
 def is_lattice(P: Poset) -> bool:
+    """Every pair has a join (least common upper bound) and a meet."""
+    up, down = P.up, P.down
     return all(
-        P.join(a, b) is not None and P.meet(a, b) is not None
+        bounding_member(up[a] & up[b], up) is not None
+        and bounding_member(down[a] & down[b], down) is not None
         for a in range(P.n)
         for b in range(a + 1, P.n)
     )

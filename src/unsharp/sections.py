@@ -130,6 +130,32 @@ def section_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     return P.greatest_of(sec & ~P.up_closure(P.down[x] & sec & ~(1 << y)))
 
 
+def _settle_section(P: Poset, y: int, entries: dict[tuple[int, int], int]) -> list[int]:
+    """Store x^y in ``entries`` under (x, y) for each x in [y,1], ascending
+    in x, and return the x that have none.
+
+    The candidates for x^y are [y,1] minus the up-closure of (y, x], and
+    that closure is the union of ``up[a]`` over the atoms a <= x of
+    (y, 1] (see ``verify_pseudocomplemented_sections``).
+    """
+    up, down = P.up, P.down
+    sec = up[y]
+    atoms = extremal(sec & ~(1 << y), down)
+    missing = []
+    for x in iter_bits(sec):
+        closure = 0
+        for a in iter_bits(atoms & down[x]):
+            closure |= up[a]
+        cand = sec & ~closure
+        for z in iter_bits(cand):
+            if not cand & ~down[z]:
+                entries[(x, y)] = z
+                break
+        else:
+            missing.append(x)
+    return missing
+
+
 def verify_pseudocomplemented_sections(
     P: Poset, all_witnesses: bool = False
 ) -> tuple[CheckReport, SectionTable | None]:
@@ -139,6 +165,14 @@ def verify_pseudocomplemented_sections(
     (None on failure; the report then carries a witness pair).  The
     table is kept on ``P``, so later calls return it without a search;
     a failure keeps nothing and scans again on the next call.
+
+    Each section [y,1] is settled in one pass, y then x ascending: the
+    order of a per-pair ``section_pseudocomplement`` scan, so witnesses
+    and entries come out in that order.  The search for x^y removes the
+    up-closure of (y, x] from [y,1].  Every
+    s in (y, x] lies above some minimal element ("atom") a of (y, 1],
+    and such an a <= s <= x lies in (y, x] itself, so that closure is
+    the union of ``up[a]`` over the atoms a <= x.
     """
     report = CheckReport("pseudocomplemented-sections")
     if P.top is None:
@@ -153,12 +187,8 @@ def verify_pseudocomplemented_sections(
 
     def failures():
         for y in range(P.n):
-            for x in iter_bits(P.up[y]):
-                z = section_pseudocomplement(P, x, y)
-                if z is None:
-                    yield (x, y)
-                else:
-                    entries[(x, y)] = z
+            for x in _settle_section(P, y, entries):
+                yield (x, y)
 
     verdict = report.run_law("sections", failures(), P.labels_of, all_witnesses)
     if not verdict.passed:

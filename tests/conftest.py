@@ -18,6 +18,7 @@ from unsharp import (
     CheckReport,
     CycleDetected,
     NotALattice,
+    Poset,
     build_from_covers,
     enumerate_posets,
     is_lattice,
@@ -204,6 +205,49 @@ def naive_is_poset(up_rows: tuple[int, ...]) -> bool:
     return True
 
 
+def naive_labeled_relations(n: int):
+    """The closed up-rows of every labeled poset on n points, in stream order.
+
+    The generator as it stood before the last level was streamed from
+    one frame: every labeled poset climbs n - 1 nested ``yield from``
+    frames of ``grow``, which carries ``down`` rows down to the leaves.
+    """
+    def grow(k: int, up: list[int], down: list[int]):
+        if k == n:
+            yield tuple(up)
+            return
+        bit = 1 << k
+        full = (1 << k) - 1
+        for ideal in range(full + 1):
+            closure = 0
+            for x in iter_bits(ideal):
+                closure |= down[x]
+            if closure != ideal:
+                continue
+            region = full & ~ideal
+            for x in iter_bits(ideal):
+                region &= up[x]
+            flt = region
+            while True:
+                closure = 0
+                for y in iter_bits(flt):
+                    closure |= up[y]
+                if closure == flt:
+                    new_up = [
+                        up[x] | (bit if ideal >> x & 1 else 0) for x in range(k)
+                    ]
+                    new_up.append(bit | flt)
+                    new_down = [
+                        down[x] | (bit if flt >> x & 1 else 0) for x in range(k)
+                    ]
+                    new_down.append(bit | ideal)
+                    yield from grow(k + 1, new_up, new_down)
+                if flt == 0:
+                    break
+                flt = (flt - 1) & region
+    yield from grow(1, [1], [1])
+
+
 def naive_relabel(up: tuple[int, ...], perm: tuple[int, ...], n: int) -> tuple[int, ...]:
     rows = []
     for i in range(n):
@@ -225,8 +269,7 @@ def naive_canonical(n: int):
     """
     perms = list(itertools.permutations(range(n)))
     fact = math.factorial(n)
-    for P in enumerate_posets(n, force=True):
-        up = P.up
+    for up in naive_labeled_relations(n):
         automorphisms = 0
         least = up
         for perm in perms:
@@ -238,6 +281,34 @@ def naive_canonical(n: int):
                 break
         if least == up:
             yield up, fact // automorphisms
+
+
+def naive_is_lattice(P) -> bool:
+    """Every pair has a least upper and a greatest lower bound."""
+    return all(
+        naive_least(P, naive_upper(P, [a, b])) is not None
+        and naive_greatest(P, naive_lower(P, [a, b])) is not None
+        for a in range(P.n)
+        for b in range(a + 1, P.n)
+    )
+
+
+def naive_corpus_stats(n: int) -> dict:
+    """The ``corpus_stats(n)`` census, counted pair by pair from the set
+    definitions over the oracle stream."""
+    total = with_top = pc = lattices = rel = 0
+    for up in naive_labeled_relations(n):
+        P = Poset([f"e{i}" for i in range(n)], up)
+        total += 1
+        if naive_greatest(P, range(n)) is None:
+            continue
+        with_top += 1
+        pairs = [(x, y) for x in range(n) for y in range(n)]
+        pc += all(naive_section_pc(P, x, y) is not None for x, y in pairs if P.le(y, x))
+        lattices += naive_is_lattice(P)
+        rel += all(naive_relative_pc(P, x, y) is not None for x, y in pairs)
+    return {"n": n, "total_posets": total, "with_top": with_top, "pc_sections": pc,
+            "lattices": lattices, "rel_pc": rel}
 
 
 def naive_axioms(A) -> list:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import unsharp.cli
-from unsharp import ParseError
+from unsharp import ParseError, SizeLimitExceeded
 from unsharp.cli import main, parse_poset_file, to_dot
 
 DATA = Path(__file__).parent / "data"
@@ -286,3 +286,31 @@ def test_parser_reuse_leaks_no_state(capsys, monkeypatch, first, first_code, sec
     assert reused == run(capsys, *second)
     if second[0] == "tables":
         assert reused[1].startswith("→ |")  # the default kind is still imp
+
+
+def chain_document(name, n):
+    labels = [f"e{i}" for i in range(n)]
+    covers = " ".join(f"{lo}<{hi}" for lo, hi in zip(labels, labels[1:]))
+    half = n // 2  # the elements accumulate over two lines
+    return (f"poset {name}\nelements: {' '.join(labels[:half])}\n"
+            f"elements: {' '.join(labels[half:])}\ncovers: {covers}\n")
+
+
+def test_size_guard_admits_the_cap(capsys, tmp_path):
+    path = tmp_path / "cap.poset"
+    path.write_text(chain_document("cap", unsharp.cli.MAX_ELEMENTS))
+    assert len(parse_poset_file(path.read_text())[0].labels) == 64
+    for command in ("check", "dot"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, err) == (0, "") and out
+
+
+def test_size_guard_names_the_header_above_the_cap(capsys, tmp_path):
+    text = "poset fine\nelements: x\n\n" + chain_document("big", unsharp.cli.MAX_ELEMENTS + 1)
+    with pytest.raises(SizeLimitExceeded):
+        parse_poset_file(text)
+    path = tmp_path / "big.poset"
+    path.write_text(text)
+    message = "error: line 4: poset 'big' declares 65 elements, more than 64\n"
+    for command in ("tables", "check", "dot"):
+        assert run(capsys, command, str(path)) == (2, "", message)

@@ -9,9 +9,17 @@ from unsharp import (
     filter_pc_sections,
     relative_pseudocomplement,
 )
+from unsharp.corpus import _relatively_pseudocomplemented
 from unsharp.order import Poset
 
-from conftest import corpus_n6_enabled, naive_canonical, naive_is_poset
+from conftest import (
+    corpus_n6_enabled,
+    naive_canonical,
+    naive_corpus_stats,
+    naive_is_poset,
+    naive_labeled_relations,
+    naive_relative_pc,
+)
 
 
 def brute_force_relations(n):
@@ -34,6 +42,17 @@ def test_generator_matches_brute_force(n, count):
     generated = [P.up for P in enumerate_posets(n)]
     assert len(generated) == len(set(generated)) == count
     assert set(generated) == brute_force_relations(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_labeled_stream_matches_naive_oracle(n):
+    assert [P.up for P in enumerate_posets(n)] == list(naive_labeled_relations(n))
+
+
+@pytest.mark.n6
+@pytest.mark.skipif(not corpus_n6_enabled(), reason="set UNSHARP_CORPUS_N6=1 to run the n=6 sweep")
+def test_labeled_stream_n6_matches_naive_oracle():
+    assert [P.up for P in enumerate_posets(6)] == list(naive_labeled_relations(6))
 
 
 def test_labeled_count_n5():
@@ -116,6 +135,24 @@ def test_corpus_stats_small():
     assert s3.lattices <= s3.with_top
     s4 = corpus_stats(4)
     assert s4.total_posets == 219
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_corpus_stats_match_naive_census(n):
+    assert corpus_stats(n).as_dict() == naive_corpus_stats(n)
+
+
+def test_rel_pc_census_matches_oracle_with_and_without_top():
+    # the census only passes topped posets; the kernel's own top guard is checked here
+    topless = 0
+    for n in range(1, 5):
+        for P in enumerate_posets(n):
+            expected = all(
+                naive_relative_pc(P, x, y) is not None for x in range(n) for y in range(n)
+            )
+            assert _relatively_pseudocomplemented(P) == expected, P.up
+            topless += P.top is None
+    assert topless
 
 
 def test_relative_pc_implies_pc_sections_empirically():

@@ -39,6 +39,7 @@ from unsharp import (
 )
 from unsharp.cli import main
 from unsharp.operators import KINDS
+from unsharp.order import iter_bits
 
 from test_cli_golden import COMMANDS
 from test_ialgebra import single_cell_mutants
@@ -48,16 +49,24 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Every call of ``section_pseudocomplement`` the library makes, as (x, y)."""
+    """Every section pseudocomplement x^y the library searches for, as (x, y):
+    each call of ``section_pseudocomplement`` and each pair that the
+    one-pass section kernel of the verifier settles."""
     calls = []
     search = unsharp.sections.section_pseudocomplement
+    settle = unsharp.sections._settle_section
 
     def counted(P, x, y):
         calls.append((x, y))
         return search(P, x, y)
 
+    def counted_section(P, y, entries):
+        calls.extend((x, y) for x in iter_bits(P.up[y]))
+        return settle(P, y, entries)
+
     for module in (unsharp.sections, unsharp.operators, unsharp.ialgebra):
         monkeypatch.setattr(module, "section_pseudocomplement", counted)
+    monkeypatch.setattr(unsharp.sections, "_settle_section", counted_section)
     return calls
 
 

@@ -25,6 +25,7 @@ from unsharp.order import Poset, iter_bits
 from conftest import (
     naive_closure,
     naive_greatest,
+    naive_is_lattice,
     naive_least,
     naive_lower,
     naive_max,
@@ -178,6 +179,12 @@ def test_is_lattice(pentagon, crown):
     assert not is_lattice(crown)
     chain = build_from_covers(["0", "m", "1"], [("0", "m"), ("m", "1")])
     assert is_lattice(chain)
+
+
+def test_is_lattice_matches_naive_bounds():
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            assert is_lattice(P) == naive_is_lattice(P), P.up
 
 
 def test_cover_relation_examples(pentagon):

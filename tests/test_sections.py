@@ -7,6 +7,7 @@ from unsharp import (
     NotPseudocomplementedSections,
     Poset,
     build_from_covers,
+    enumerate_posets,
     glivenko_skeleton,
     negation,
     negation_laws_report,
@@ -87,6 +88,36 @@ def test_verify_fails_on_m3(m3):
     assert not report.passed and table is None
     witness = report.verdict("sections").witness
     assert witness is not None and len(witness) == 2
+
+
+def test_verify_matches_per_pair_oracle_in_order():
+    # every topped labeled poset with n <= 5, pc or not: the witnesses
+    # and the table entries in the order of a per-pair scan, y then x
+    pc = failing = 0
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            if P.top is None:
+                continue
+            entries, missing = [], []
+            for y in range(n):
+                for x in range(n):
+                    if P.le(y, x):
+                        z = naive_section_pc(P, x, y)
+                        if z is None:
+                            missing.append(P.labels_of((x, y)))
+                        else:
+                            entries.append(((x, y), z))
+            report, table = verify_pseudocomplemented_sections(P, True)
+            assert report.verdict("sections").witnesses == tuple(missing), P.up
+            if missing:
+                assert table is None
+                first, _ = verify_pseudocomplemented_sections(P)
+                assert first.verdict("sections").witnesses == (missing[0],)
+                failing += 1
+            else:
+                assert list(table.entries.items()) == entries, P.up
+                pc += 1
+    assert pc and failing
 
 
 def test_relative_pc_values(crown, crown_tail, pentagon):
