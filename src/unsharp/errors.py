@@ -49,10 +49,6 @@ class NotALattice(PosetError):
     pass
 
 
-class EmptyOperand(PosetError):
-    pass
-
-
 class SizeLimitExceeded(PosetError):
     pass
 

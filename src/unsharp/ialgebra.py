@@ -27,7 +27,7 @@ from .errors import (
 )
 from .order import Poset, iter_bits
 from .reports import CheckReport
-from .sections import SectionTable, section_pseudocomplement, section_table
+from .sections import SectionTable, section_entries, section_table
 
 AXIOMS = (
     "unit",            # x -> x = x -> 1 = 1
@@ -254,8 +254,9 @@ def _rebuild(A: IAlgebra) -> tuple[Poset, SectionTable]:
                     f"cell ({A.labels[x]},{A.labels[y]}) must be a singleton"
                 )
             entries[(x, y)] = cell.bit_length() - 1
+    induced = section_entries(P)
     for (x, y), z in entries.items():
-        recomputed = section_pseudocomplement(P, x, y)
+        recomputed = induced.get((x, y))
         if recomputed != z:
             raise SectionMismatch(
                 f"cell ({A.labels[x]},{A.labels[y]}) = {A.labels[z]} but the "

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyOperand, NotPseudocomplementedSections, NoTopElement
+from .errors import NotPseudocomplementedSections, NoTopElement
 from .order import Poset, iter_bits
 from .reports import CheckReport
 from .sections import (
     relative_pseudocomplement,
-    section_pseudocomplement,
+    section_entries,
     section_table,
     sectional_pseudocomplement,
-    verify_pseudocomplemented_sections,
 )
 
 KINDS = ("xy", "imp", "conj", "rel", "circ")
@@ -45,9 +44,10 @@ def implication(P: Poset, x: int, y: int) -> tuple[int, ...]:
     """Image of Min U(x,y) under the section pseudocomplement against y."""
     if P.top is None:
         raise NoTopElement("implication requires a top element")
+    entries = section_entries(P)
     out = 0
     for m in iter_bits(P.min_mask(P.up[x] & P.up[y])):
-        s = section_pseudocomplement(P, m, y)
+        s = entries.get((m, y))
         if s is None:
             raise NotPseudocomplementedSections(
                 f"no pseudocomplement of {P.labels[m]} in the section above {P.labels[y]}"
@@ -61,32 +61,6 @@ def conjunction(P: Poset, x: int, y: int) -> tuple[int, ...]:
     return P.set_of(P.max_mask(P.down[x] & P.down[y]))
 
 
-def conjunction_of_sets(P: Poset, A, B) -> tuple[int, ...]:
-    """Maximal elements of the common lower cone of A u B.
-
-    This is the literal cone reading: the result bounds every member of
-    both operands.  It coincides with ``conjunction`` on singletons but
-    is not associative; see ``downset_conjunction`` for the lift used by
-    the residuation checks.
-    """
-    amask, bmask = P.mask_of(A), P.mask_of(B)
-    if not amask or not bmask:
-        raise EmptyOperand("conjunction operands must be non-empty")
-    return P.set_of(P.max_mask(P.lower_mask(amask | bmask)))
-
-
-def downset_conjunction(P: Poset, A, B) -> tuple[int, ...]:
-    """Maximal elements of downclosure(A) n downclosure(B).
-
-    Coincides with ``conjunction`` on singletons, tolerates empty
-    operands, and is associative, because the down-closure of the
-    maximal elements of a down-set is that down-set again.
-    """
-    da = P.down_closure(P.mask_of(A))
-    db = P.down_closure(P.mask_of(B))
-    return P.set_of(P.max_mask(da & db))
-
-
 def operator_table(P: Poset, kind: str) -> OperatorTable:
     """Full n x n table for one of the operator kinds in ``KINDS``."""
     if kind not in KINDS:
@@ -96,21 +70,15 @@ def operator_table(P: Poset, kind: str) -> OperatorTable:
     if kind == "conj":
         cells = [[frozenset(iter_bits(P.max_mask(dx & dy))) for dy in P.down] for dx in P.down]
     else:
-        search = {
-            "xy": section_pseudocomplement,
-            "rel": relative_pseudocomplement,
-            "circ": sectional_pseudocomplement,
-        }[kind]
         if kind == "xy":
             if P.top is None:
                 raise NoTopElement("section tables require a top element")
-            _, table = verify_pseudocomplemented_sections(P)
-            if table is not None:
-                search = lambda _, x, y: table.get(x, y)
-        cells = [
-            [None if z is None else frozenset((z,)) for z in (search(P, x, y) for y in range(P.n))]
-            for x in range(P.n)
-        ]
+            entries = section_entries(P)
+            values = [[entries.get((x, y)) for y in range(P.n)] for x in range(P.n)]
+        else:
+            search = relative_pseudocomplement if kind == "rel" else sectional_pseudocomplement
+            values = [[search(P, x, y) for y in range(P.n)] for x in range(P.n)]
+        cells = [[None if z is None else frozenset((z,)) for z in row] for row in values]
     return OperatorTable(P, kind, tuple(map(tuple, cells)))
 
 

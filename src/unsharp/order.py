@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 from .errors import (
     CycleDetected,
     DuplicateLabel,
-    NoTopElement,
     NotAntisymmetric,
     NotTransitive,
     UnknownLabel,
@@ -295,42 +294,6 @@ def build_from_relation(labels: Sequence[str], pairs) -> Poset:
 
 
 # -- elementary operations -----------------------------------------------------
-
-
-def cone(P: Poset, elems: Iterable[int], direction: str) -> tuple[int, ...]:
-    """Common lower or upper cone of a set of elements."""
-    mask = P.mask_of(elems)
-    if direction == "lower":
-        return P.set_of(P.lower_mask(mask))
-    if direction == "upper":
-        return P.set_of(P.upper_mask(mask))
-    raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
-
-
-def extremes(P: Poset, elems: Iterable[int], direction: str) -> tuple[int, ...]:
-    """Minimal or maximal elements of a set; empty only for the empty set."""
-    mask = P.mask_of(elems)
-    if direction == "min":
-        return P.set_of(P.min_mask(mask))
-    if direction == "max":
-        return P.set_of(P.max_mask(mask))
-    raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-
-
-def section(P: Poset, y: int) -> tuple[int, ...]:
-    """The interval [y, 1]: everything above y, in a poset with a top."""
-    if P.top is None:
-        raise NoTopElement("sections require a top element")
-    return P.set_of(P.up[y])
-
-
-def bound_of_pair(P: Poset, a: int, b: int, direction: str) -> int | None:
-    """Least upper / greatest lower bound of a pair, or None when absent."""
-    if direction == "join":
-        return P.join(a, b)
-    if direction == "meet":
-        return P.meet(a, b)
-    raise ValueError(f"direction must be 'join' or 'meet', got {direction!r}")
 
 
 def is_lattice(P: Poset) -> bool:

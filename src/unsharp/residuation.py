@@ -10,8 +10,10 @@ divergences between the readings are surfaced, not treated as
 failures.
 
 Associativity is checked with the down-set lift of the conjunction
-(the one ``downset_conjunction`` computes); the cone lift is not
-associative.  All checks read the mask tables of ``section_table``.
+(the maximal elements of the intersection of the operands'
+down-closures, which ``associative()`` compares as down-sets); the
+cone lift is not associative.  All checks read the mask tables of
+``section_table``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class ResiduationReport(CheckReport):
 
 def unsharp_residuation_report(P: Poset, all_witnesses: bool = False) -> ResiduationReport:
     """Evaluate the residuation conditions on a poset with pseudocomplemented sections."""
-    table = section_table(P)  # raises NoTopElement / NotPseudocomplementedSections
+    table = section_table(P)  # raises NotPseudocomplementedSections, also without a top
     imp, conj = table.arrow, table.conj
     top = P.top
     n = P.n

@@ -117,17 +117,12 @@ class SectionTable:
 def section_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     """Greatest z with L(x,z) n [y,1] = {y}, or None when no greatest exists.
 
-    y must lie in L(x,z), so there is no candidate unless y <= x, and
-    every candidate lies in [y,1].  Such a z fails exactly when some s
-    in S = L(x) n [y,1] - {y} lies below it, so the candidates are
-    [y,1] minus the up-closure of S.
+    y must lie in L(x,z), so there is no candidate unless y <= x.
     """
+    P.mask_of((x, y))  # rejects an index outside the carrier
     if P.top is None:
         raise NoTopElement("section pseudocomplements require a top element")
-    sec = P.up[y]
-    if not sec >> x & 1:
-        return None
-    return P.greatest_of(sec & ~P.up_closure(P.down[x] & sec & ~(1 << y)))
+    return section_entries(P).get((x, y))
 
 
 def _settle_section(P: Poset, y: int, entries: dict[tuple[int, int], int]) -> list[int]:
@@ -197,9 +192,18 @@ def verify_pseudocomplemented_sections(
     return report, P._section_table
 
 
-def has_pseudocomplemented_sections(P: Poset) -> bool:
-    report, _ = verify_pseudocomplemented_sections(P)
-    return report.passed
+def section_entries(P: Poset) -> dict[tuple[int, int], int]:
+    """Every x^y that exists, under (x, y): the stored table's entries
+    when ``P`` holds one, else each section settled into a fresh dict
+    that is not kept (a poset without pseudocomplemented sections gets
+    the partial map)."""
+    table = getattr(P, "_section_table", None)
+    if table is not None:
+        return table.entries
+    entries: dict[tuple[int, int], int] = {}
+    for y in range(P.n):
+        _settle_section(P, y, entries)
+    return entries
 
 
 def section_table(P: Poset) -> SectionTable:
@@ -235,12 +239,12 @@ def sectional_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
 def pseudocomplement(P: Poset, x: int) -> int | None:
     """Greatest z with L(x,z) = {0}; needs a bottom element.
 
-    The bottom lies in every L(x,z), so z fails exactly when some s in
-    L(x) other than the bottom lies below it.
+    This is x^0: the section [0,1] is the whole carrier.
     """
+    P.mask_of((x,))  # rejects an index outside the carrier
     if P.bottom is None:
         raise NoBottomElement("pseudocomplements require a bottom element")
-    return P.greatest_of(P.full & ~P.up_closure(P.down[x] & ~(1 << P.bottom)))
+    return section_entries(P).get((x, P.bottom))
 
 
 def negation(P: Poset, x: int) -> int:
@@ -258,14 +262,13 @@ def negation_map(P: Poset) -> tuple[int, ...]:
     """The value of x^0 for every element, as a tuple indexed by element.
 
     Requires a bottom element and a total pseudocomplement (no check of
-    the other sections is made here); read off the stored section table
-    when ``P`` holds one."""
-    table = getattr(P, "_section_table", None)
-    if table is not None and P.bottom is not None:
-        return table.negation
+    the other sections is made here)."""
+    if P.bottom is None:
+        raise NoBottomElement("pseudocomplements require a bottom element")
+    entries = section_entries(P)
     out = []
     for x in range(P.n):
-        z = pseudocomplement(P, x)
+        z = entries.get((x, P.bottom))
         if z is None:
             raise NotPseudocomplemented(
                 f"element {P.labels[x]} has no pseudocomplement"

@@ -17,8 +17,12 @@ from unsharp import (
     AXIOMS,
     CheckReport,
     CycleDetected,
+    NonSingletonSection,
     NotALattice,
+    OrderAxiomFailure,
     Poset,
+    SectionMismatch,
+    SectionTable,
     build_from_covers,
     enumerate_posets,
     is_lattice,
@@ -155,6 +159,53 @@ def naive_sectional_pc(P, x, y) -> int | None:
     lu, ly = naive_lower(P, naive_upper(P, [x, y])), naive_lower(P, [y])
     cands = [z for z in range(P.n) if lu & naive_lower(P, [z]) == ly]
     return naive_greatest(P, cands)
+
+
+def naive_rebuild(A) -> tuple[Poset, SectionTable]:
+    """``poset_of(A)``, or the error it raises.
+
+    The rebuild as it stood before it read one ``section_entries`` of the
+    rebuilt order: each claimed cell below the diagonal is recomputed on
+    its own, here by ``naive_section_pc``.
+    """
+    n, cells, up = A.n, A.cells, A.up
+    for x in range(n):
+        if not up[x] >> x & 1:
+            raise OrderAxiomFailure(f"relation is not reflexive at {A.labels[x]}")
+    for x in range(n):
+        for y in iter_bits(up[x]):
+            if x != y and up[y] >> x & 1:
+                raise OrderAxiomFailure(
+                    f"relation is not antisymmetric at ({A.labels[x]},{A.labels[y]})"
+                )
+            missing = up[y] & ~up[x]
+            if missing:
+                k = iter_bits(missing)[0]
+                raise OrderAxiomFailure(
+                    f"relation is not transitive at "
+                    f"({A.labels[x]},{A.labels[y]},{A.labels[k]})"
+                )
+        if not up[x] >> A.unit & 1:
+            raise OrderAxiomFailure(f"unit is not above {A.labels[x]}")
+    P = Poset(A.labels, up, validate=False)
+    entries: dict[tuple[int, int], int] = {}
+    for x in range(n):
+        for y in iter_bits(P.down[x]):
+            cell = cells[x][y]
+            if cell & (cell - 1):
+                raise NonSingletonSection(
+                    f"cell ({A.labels[x]},{A.labels[y]}) must be a singleton"
+                )
+            entries[(x, y)] = cell.bit_length() - 1
+    for (x, y), z in entries.items():
+        recomputed = naive_section_pc(P, x, y)
+        if recomputed != z:
+            raise SectionMismatch(
+                f"cell ({A.labels[x]},{A.labels[y]}) = {A.labels[z]} but the "
+                f"induced order gives "
+                f"{'nothing' if recomputed is None else A.labels[recomputed]}"
+            )
+    return P, SectionTable(P, entries)
 
 
 def naive_closure(labels, covers) -> tuple[int, ...]:

@@ -299,6 +299,7 @@ def test_criteria_4_to_7_at_n6():
     )
 
 
+@pytest.mark.n6
 def test_criterion_8_n6_count():
     if not corpus_n6_enabled():
         pytest.skip("set UNSHARP_CORPUS_N6=1 to count the 130023 posets on 6 elements")

@@ -261,6 +261,24 @@ def test_build_errors_name_their_document(capsys, tmp_path, body, message):
         assert (code, err) == (2, f"error: line 5: {message}\n")
 
 
+@pytest.mark.parametrize("command, partial", [
+    ("check", True), ("roundtrip", True), ("residuation", True), ("skeleton", True),
+    ("tables", False), ("dot", False),
+])
+def test_partial_output_before_a_later_build_error(capsys, tmp_path, command, partial):
+    # the report commands print each document's report as they go; the block
+    # commands build every document before they print anything
+    first = "poset fine\nelements: 0 1\ncovers: 0<1\n"
+    good, bad = tmp_path / "good.poset", tmp_path / "bad.poset"
+    good.write_text(first)
+    bad.write_text(first + "poset bad\nelements: a a\n")
+    code, out, err = run(capsys, command, str(good))
+    assert (code, err) == (0, "") and out
+    assert run(capsys, command, str(bad)) == (
+        2, out if partial else "", "error: line 4: duplicate label 'a'\n"
+    )
+
+
 def test_unknown_command_and_flag(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -12,8 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import unsharp.ialgebra
-import unsharp.operators
 import unsharp.sections
 from unsharp import (
     IAlgebra,
@@ -50,22 +48,15 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture
 def searches(monkeypatch):
     """Every section pseudocomplement x^y the library searches for, as (x, y):
-    each call of ``section_pseudocomplement`` and each pair that the
-    one-pass section kernel of the verifier settles."""
+    each pair that the one-pass section kernel settles, the only x^y
+    search there is."""
     calls = []
-    search = unsharp.sections.section_pseudocomplement
     settle = unsharp.sections._settle_section
-
-    def counted(P, x, y):
-        calls.append((x, y))
-        return search(P, x, y)
 
     def counted_section(P, y, entries):
         calls.extend((x, y) for x in iter_bits(P.up[y]))
         return settle(P, y, entries)
 
-    for module in (unsharp.sections, unsharp.operators, unsharp.ialgebra):
-        monkeypatch.setattr(module, "section_pseudocomplement", counted)
     monkeypatch.setattr(unsharp.sections, "_settle_section", counted_section)
     return calls
 

@@ -8,6 +8,7 @@ from unsharp import (
     NonSingletonSection,
     NotPseudocomplementedSections,
     OrderAxiomFailure,
+    PosetError,
     SectionMismatch,
     UnknownLabel,
     algebra_of,
@@ -18,7 +19,7 @@ from unsharp import (
 )
 from unsharp.order import iter_bits
 
-from conftest import naive_axioms
+from conftest import naive_axioms, naive_rebuild
 from reference_tables import CROWN_IMP, CROWN_TAIL_IMP, PENTAGON_IMP
 
 
@@ -175,6 +176,44 @@ def test_axioms_match_oracle_on_single_cell_mutants(pc_corpus):
             continue
         for M in single_cell_mutants(algebra_of(P)):
             assert axioms_report(M, all_witnesses=True).verdicts == naive_axioms(M)
+
+
+def rebuild_outcome(rebuild, A):
+    """The rebuilt order and its entries in scan order, or the error raised."""
+    try:
+        P, table = rebuild(A)
+    except PosetError as exc:
+        return type(exc), str(exc)
+    return P.labels, P.up, list(table.entries.items())
+
+
+def test_rebuild_matches_oracle_on_single_cell_mutants(pc_corpus):
+    for P, _ in pc_corpus:
+        if P.n > 4:
+            continue
+        for M in single_cell_mutants(algebra_of(P)):
+            assert rebuild_outcome(poset_of, M) == rebuild_outcome(naive_rebuild, M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rebuild_matches_oracle_on_multi_cell_mutants(pc_corpus, data):
+    P, _ = data.draw(st.sampled_from(pc_corpus))
+    A = algebra_of(P)
+    n = A.n
+    # mostly singletons, the values a cell below the diagonal must take
+    cell = st.one_of(
+        st.integers(0, n - 1).map(lambda v: 1 << v), st.just(1 << A.unit),
+        st.integers(1, (1 << n) - 1),
+    )
+    edits = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), cell), min_size=2, max_size=6
+    ))
+    rows = [list(row) for row in A.cells]
+    for x, y, mask in edits:
+        rows[x][y] = mask
+    M = IAlgebra.from_cells(A.labels, rows, A.unit)
+    assert rebuild_outcome(poset_of, M) == rebuild_outcome(naive_rebuild, M)
 
 
 @st.composite

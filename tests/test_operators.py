@@ -2,25 +2,25 @@ import pytest
 from hypothesis import given, settings
 
 from unsharp import (
-    EmptyOperand,
     NoBottomElement,
     NoTopElement,
+    NotPseudocomplemented,
     NotPseudocomplementedSections,
     PosetError,
     build_from_covers,
     conjunction,
-    conjunction_of_sets,
-    downset_conjunction,
     enumerate_posets,
     implication,
     implication_properties_report,
     is_lattice,
+    negation_map,
     operator_table,
     pseudocomplement,
     relative_pseudocomplement,
     section_pseudocomplement,
     section_table,
     sectional_pseudocomplement,
+    verify_pseudocomplemented_sections,
 )
 from unsharp.cli import render_table
 from unsharp.operators import KINDS
@@ -28,9 +28,11 @@ from unsharp.operators import KINDS
 from conftest import (
     naive_conjunction,
     naive_implication,
+    naive_min,
     naive_relative_pc,
     naive_section_pc,
     naive_sectional_pc,
+    naive_upper,
 )
 from reference_tables import (
     CROWN_IMP,
@@ -108,34 +110,6 @@ def test_conjunction_table_and_values(crown_tail):
             assert conjunction(P, x, x) == (x,)
 
 
-def test_conjunction_of_sets(crown_tail):
-    t = crown_tail
-    d = t.index("d")
-    bc = [t.index("b"), t.index("c")]
-    # the common cone of {d} u {b,c} collapses to the bottom
-    assert conjunction_of_sets(t, [d], bc) == (t.bottom,)
-    for x in range(t.n):
-        for y in range(t.n):
-            assert conjunction_of_sets(t, [x], [y]) == conjunction(t, x, y)
-    assert conjunction_of_sets(t, bc, [t.top]) == tuple(
-        sorted(t.set_of(t.max_mask(t.lower_mask(t.mask_of(bc)))))
-    )
-    with pytest.raises(EmptyOperand):
-        conjunction_of_sets(t, [], [d])
-
-
-def test_downset_conjunction_is_associative_where_cone_lift_is_not(crown_tail):
-    t = crown_tail
-    d, e, c = t.index("d"), t.index("e"), t.index("c")
-    de = downset_conjunction(t, [d], [e])
-    assert labset(t, de) == {"b", "c"}
-    left = downset_conjunction(t, de, [c])
-    right = downset_conjunction(t, [d], downset_conjunction(t, [e], [c]))
-    assert left == right == (c,)
-    # the cone lift gives a strictly smaller left association here
-    assert conjunction_of_sets(t, de, [c]) == (t.bottom,)
-
-
 def test_operator_table_kinds(pentagon):
     with pytest.raises(ValueError):
         operator_table(pentagon, "bogus")
@@ -180,8 +154,6 @@ def test_render_table_replays_goldens(pentagon, tmp_path):
 def test_operators_match_oracles(P):
     if P.top is None:
         return
-    from unsharp import verify_pseudocomplemented_sections
-
     report, _ = verify_pseudocomplemented_sections(P)
     for x in range(P.n):
         for y in range(P.n):
@@ -193,9 +165,7 @@ def test_operators_match_oracles(P):
 @settings(max_examples=80)
 @given(posets(max_n=5))
 def test_outputs_are_antichains_and_determined(P):
-    from unsharp import has_pseudocomplemented_sections
-
-    if not has_pseudocomplemented_sections(P):
+    if not verify_pseudocomplemented_sections(P)[0].passed:
         return
     table = section_table(P)
     for x in range(P.n):
@@ -215,9 +185,7 @@ def test_outputs_are_antichains_and_determined(P):
 def test_unsharp_dominates_relative_pc_where_total(P):
     # the dominance claim needs the relative operator to be total; with a
     # partially defined * the pointwise comparison can genuinely flip
-    from unsharp import has_pseudocomplemented_sections
-
-    if not has_pseudocomplemented_sections(P):
+    if not verify_pseudocomplemented_sections(P)[0].passed:
         return
     stars = [
         [relative_pseudocomplement(P, x, y) for y in range(P.n)]
@@ -235,9 +203,7 @@ def test_dominance_fails_per_pair_without_totality():
     # relative operator is partial here (b*c has two maximal candidates)
     P = build_from_covers(["a", "b", "c", "d"], [("b", "a"), ("c", "b"), ("d", "a")])
     d, c, b = P.index("d"), P.index("c"), P.index("b")
-    from unsharp import has_pseudocomplemented_sections
-
-    assert has_pseudocomplemented_sections(P)
+    assert verify_pseudocomplemented_sections(P)[0].passed
     assert relative_pseudocomplement(P, d, c) == b
     assert implication(P, d, c) == (c,)
     assert P.lt(c, b)
@@ -295,3 +261,76 @@ def test_searches_and_tables_match_oracles_on_small_posets():
 @given(posets(max_n=16, min_n=9))
 def test_searches_and_tables_match_oracles_on_large_posets(P):
     check_searches_and_tables(P)
+
+
+def value_or_error(call, *args):
+    """What ``call(*args)`` returns, or the type and message of the PosetError it raises."""
+    try:
+        return call(*args)
+    except PosetError as exc:
+        return type(exc), str(exc)
+
+
+def naive_per_pair(P):
+    """What the per-pair x^y readers return or raise on ``P``, from ``naive_section_pc``."""
+    pairs = [(x, y) for x in range(P.n) for y in range(P.n)]
+    xy = {(x, y): naive_section_pc(P, x, y) for x, y in pairs}
+    out = {}
+    if P.top is None:
+        out["section"] = {p: (NoTopElement, "section pseudocomplements require a top element")
+                          for p in pairs}
+        out["implication"] = {p: (NoTopElement, "implication requires a top element")
+                              for p in pairs}
+        out["xy"] = (NoTopElement, "section tables require a top element")
+    else:
+        out["section"] = xy
+        out["implication"] = {}
+        for x, y in pairs:
+            mins = sorted(naive_min(P, naive_upper(P, [x, y])))
+            gaps = [m for m in mins if xy[m, y] is None]
+            out["implication"][x, y] = (
+                (NotPseudocomplementedSections, f"no pseudocomplement of {P.labels[gaps[0]]} "
+                 f"in the section above {P.labels[y]}")
+                if gaps else tuple(sorted({xy[m, y] for m in mins}))
+            )
+        out["xy"] = [None if xy[p] is None else frozenset((xy[p],)) for p in pairs]
+    if P.bottom is None:
+        no_bottom = (NoBottomElement, "pseudocomplements require a bottom element")
+        out["pc"] = [no_bottom] * P.n
+        out["negation"] = no_bottom
+    else:
+        out["pc"] = [xy[x, P.bottom] for x in range(P.n)]
+        gaps = [x for x in range(P.n) if xy[x, P.bottom] is None]
+        out["negation"] = (
+            (NotPseudocomplemented, f"element {P.labels[gaps[0]]} has no pseudocomplement")
+            if gaps else tuple(out["pc"])
+        )
+    return out
+
+
+def test_per_pair_readers_match_oracles_on_every_small_poset():
+    # every labeled poset on 1-5 points, topless, bottomless and not-pc ones
+    # included: each reader answers what exists and raises as it always has
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            want = naive_per_pair(P)
+            got = {
+                "section": {(x, y): value_or_error(section_pseudocomplement, P, x, y)
+                            for x in range(P.n) for y in range(P.n)},
+                "implication": {(x, y): value_or_error(implication, P, x, y)
+                                for x in range(P.n) for y in range(P.n)},
+                "xy": value_or_error(
+                    lambda: [c for row in operator_table(P, "xy").cells for c in row]),
+                "pc": [value_or_error(pseudocomplement, P, x) for x in range(P.n)],
+                "negation": value_or_error(negation_map, P),
+            }
+            assert got == want, P
+
+
+def test_implication_reads_only_the_sections_it_needs(m3):
+    # m3 has no x^0, so its section table does not exist; x -> y still does
+    x, y, zero = m3.index("x"), m3.index("y"), m3.bottom
+    assert implication(m3, x, y) == (y,)
+    with pytest.raises(NotPseudocomplementedSections,
+                       match="^no pseudocomplement of x in the section above 0$"):
+        implication(m3, x, zero)

@@ -8,17 +8,12 @@ from unsharp import (
     DuplicateLabel,
     NotAntisymmetric,
     NotTransitive,
-    NoTopElement,
     UnknownLabel,
-    bound_of_pair,
     build_from_covers,
     build_from_relation,
-    cone,
     cover_relation,
     enumerate_posets,
-    extremes,
     is_lattice,
-    section,
 )
 from unsharp.order import Poset, iter_bits
 
@@ -127,51 +122,60 @@ def test_build_from_relation_rejects_non_transitive():
         build_from_relation(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def lower(P, elems):
+    return P.set_of(P.lower_mask(P.mask_of(elems)))
+
+
+def upper(P, elems):
+    return P.set_of(P.upper_mask(P.mask_of(elems)))
+
+
+def minimal(P, elems):
+    return P.set_of(P.min_mask(P.mask_of(elems)))
+
+
+def maximal(P, elems):
+    return P.set_of(P.max_mask(P.mask_of(elems)))
+
+
 def test_cone_examples(crown, crown_tail):
     a, b = crown.index("a"), crown.index("b")
-    assert crown.labels_of(cone(crown, [a, b], "upper")) == ("c", "d", "1")
+    assert crown.labels_of(upper(crown, [a, b])) == ("c", "d", "1")
     d, e = crown_tail.index("d"), crown_tail.index("e")
-    assert crown_tail.labels_of(cone(crown_tail, [d, e], "lower")) == ("0", "a", "b", "c")
+    assert crown_tail.labels_of(lower(crown_tail, [d, e])) == ("0", "a", "b", "c")
 
 
 def test_cone_of_top_and_empty(pentagon):
     top = pentagon.top
-    assert cone(pentagon, [top], "lower") == tuple(range(pentagon.n))
-    assert cone(pentagon, [], "lower") == tuple(range(pentagon.n))
-    with pytest.raises(ValueError):
-        cone(pentagon, [0], "sideways")
+    assert lower(pentagon, [top]) == tuple(range(pentagon.n))
+    assert lower(pentagon, []) == tuple(range(pentagon.n))
+    assert upper(pentagon, []) == tuple(range(pentagon.n))
 
 
 def test_extremes_examples(crown):
     cd1 = [crown.index(l) for l in "cd1"]
-    assert crown.labels_of(extremes(crown, cd1, "min")) == ("c", "d")
+    assert crown.labels_of(minimal(crown, cd1)) == ("c", "d")
     chain = [crown.index(l) for l in ("0", "a", "c")]
-    assert crown.labels_of(extremes(crown, chain, "min")) == ("0",)
+    assert crown.labels_of(minimal(crown, chain)) == ("0",)
+    assert crown.labels_of(maximal(crown, chain)) == ("c",)
     antichain = [crown.index("a"), crown.index("b")]
-    assert set(extremes(crown, antichain, "min")) == set(antichain)
-    assert extremes(crown, [], "max") == ()
-
-
-def test_section_examples(pentagon, crown_tail):
-    assert pentagon.labels_of(section(pentagon, pentagon.index("b"))) == ("b", "1")
-    assert pentagon.labels_of(section(pentagon, pentagon.top)) == ("1",)
-    assert crown_tail.labels_of(section(crown_tail, crown_tail.index("c"))) == (
-        "c", "d", "e", "1",
-    )
-
-
-def test_section_requires_top():
-    P = build_from_covers(["0", "a", "b"], [("0", "a"), ("0", "b")])
-    with pytest.raises(NoTopElement):
-        section(P, 0)
+    assert set(minimal(crown, antichain)) == set(antichain)
+    assert maximal(crown, []) == ()
 
 
 def test_bound_of_pair(pentagon, crown):
     a, b = crown.index("a"), crown.index("b")
-    assert bound_of_pair(crown, a, b, "join") is None
-    assert bound_of_pair(crown, a, crown.top, "join") == crown.top
+    assert crown.join(a, b) is None
+    assert crown.join(a, crown.top) == crown.top
+    assert crown.meet(a, b) == crown.bottom
     pa, pb = pentagon.index("a"), pentagon.index("b")
-    assert bound_of_pair(pentagon, pa, pb, "join") == pentagon.top
+    assert pentagon.join(pa, pb) == pentagon.top
+    assert pentagon.meet(pa, pb) == pentagon.bottom
+    for P in (pentagon, crown):
+        for x in range(P.n):
+            for y in range(P.n):
+                assert P.join(x, y) == naive_least(P, naive_upper(P, [x, y]))
+                assert P.meet(x, y) == naive_greatest(P, naive_lower(P, [x, y]))
 
 
 def test_is_lattice(pentagon, crown):
@@ -215,10 +219,10 @@ def test_closure_reduction_round_trip(P):
 @given(posets(), st.data())
 def test_cones_match_oracle(P, data):
     elems = data.draw(st.lists(st.integers(0, P.n - 1), max_size=P.n, unique=True))
-    assert set(cone(P, elems, "lower")) == naive_lower(P, elems)
-    assert set(cone(P, elems, "upper")) == naive_upper(P, elems)
-    assert set(extremes(P, elems, "min")) == naive_min(P, elems)
-    assert set(extremes(P, elems, "max")) == naive_max(P, elems)
+    assert set(lower(P, elems)) == naive_lower(P, elems)
+    assert set(upper(P, elems)) == naive_upper(P, elems)
+    assert set(minimal(P, elems)) == naive_min(P, elems)
+    assert set(maximal(P, elems)) == naive_max(P, elems)
 
 
 @settings(max_examples=100)
@@ -227,19 +231,18 @@ def test_cone_antitone_and_galois(P, data):
     small = data.draw(st.lists(st.integers(0, P.n - 1), max_size=P.n, unique=True))
     extra = data.draw(st.lists(st.integers(0, P.n - 1), max_size=P.n, unique=True))
     big = sorted(set(small) | set(extra))
-    assert set(cone(P, big, "lower")) <= set(cone(P, small, "lower"))
-    assert set(cone(P, big, "upper")) <= set(cone(P, small, "upper"))
+    assert set(lower(P, big)) <= set(lower(P, small))
+    assert set(upper(P, big)) <= set(upper(P, small))
     # closure: A <= L(U(A)) and L(U(L(A))) = L(A)
-    lower = cone(P, small, "lower")
-    assert set(small) <= set(cone(P, cone(P, small, "upper"), "lower"))
-    assert cone(P, cone(P, cone(P, small, "lower"), "upper"), "lower") == lower
+    assert set(small) <= set(lower(P, upper(P, small)))
+    assert lower(P, upper(P, lower(P, small))) == lower(P, small)
 
 
 @settings(max_examples=100)
 @given(posets())
 def test_lu_of_point_is_l(P):
     for a in range(P.n):
-        assert cone(P, cone(P, [a], "upper"), "lower") == cone(P, [a], "lower")
+        assert lower(P, upper(P, [a])) == lower(P, [a])
 
 
 @settings(max_examples=100)
@@ -249,7 +252,7 @@ def test_min_of_upper_cone_nonempty_with_top(P):
         return
     for x in range(P.n):
         for y in range(P.n):
-            assert extremes(P, cone(P, [x, y], "upper"), "min") != ()
+            assert minimal(P, upper(P, [x, y])) != ()
 
 
 def test_iter_bits_matches_naive_bit_list():

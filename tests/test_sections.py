@@ -14,9 +14,11 @@ from unsharp import (
     pseudocomplement,
     relative_pseudocomplement,
     section_pseudocomplement,
+    section_table,
     sectional_pseudocomplement,
     verify_pseudocomplemented_sections,
 )
+from unsharp.sections import section_entries
 
 from conftest import (
     naive_conjunction,
@@ -292,3 +294,27 @@ def test_section_table_grids_match_oracles_on_large_posets(P):
         assert table.negation is None
     else:
         assert table.negation == tuple(naive_section_pc(P, x, P.bottom) for x in range(P.n))
+
+
+def test_section_entries_reads_a_stored_table_and_stores_nothing(pentagon, m3):
+    P = Poset(pentagon.labels, pentagon.up)
+    first = section_entries(P)
+    assert getattr(P, "_section_table", None) is None
+    assert section_entries(P) == first and section_entries(P) is not first
+    table = section_table(P)
+    assert first == table.entries
+    assert section_entries(P) is table.entries
+    Q = Poset(m3.labels, m3.up)  # x^0 is missing, so there is no table
+    pairs = [(x, y) for x in range(Q.n) for y in range(Q.n)]
+    want = {p: z for p in pairs if (z := naive_section_pc(Q, *p)) is not None}
+    assert section_entries(Q) == want
+    assert (Q.bottom, Q.bottom) in want and (Q.index("x"), Q.bottom) not in want
+    assert getattr(Q, "_section_table", None) is None
+
+
+def test_per_pair_readers_reject_an_index_outside_the_carrier(pentagon):
+    for x, y in ((pentagon.n, 0), (0, pentagon.n), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            section_pseudocomplement(pentagon, x, y)
+    with pytest.raises(ValueError, match="out of range"):
+        pseudocomplement(pentagon, pentagon.n)
