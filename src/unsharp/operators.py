@@ -20,9 +20,9 @@ from .order import Poset, iter_bits
 from .reports import CheckReport
 from .sections import (
     relative_pseudocomplement,
-    section_entries,
     section_table,
     sectional_pseudocomplement,
+    settled_sections,
 )
 
 KINDS = ("xy", "imp", "conj", "rel", "circ")
@@ -42,9 +42,10 @@ class OperatorTable:
 
 def implication(P: Poset, x: int, y: int) -> tuple[int, ...]:
     """Image of Min U(x,y) under the section pseudocomplement against y."""
+    P.mask_of((x, y))  # rejects an index outside the carrier
     if P.top is None:
         raise NoTopElement("implication requires a top element")
-    entries = section_entries(P)
+    entries = settled_sections(P).entries
     out = 0
     for m in iter_bits(P.min_mask(P.up[x] & P.up[y])):
         s = entries.get((m, y))
@@ -58,6 +59,7 @@ def implication(P: Poset, x: int, y: int) -> tuple[int, ...]:
 
 def conjunction(P: Poset, x: int, y: int) -> tuple[int, ...]:
     """Maximal common lower bounds of x and y."""
+    P.mask_of((x, y))  # rejects an index outside the carrier
     return P.set_of(P.max_mask(P.down[x] & P.down[y]))
 
 
@@ -73,7 +75,7 @@ def operator_table(P: Poset, kind: str) -> OperatorTable:
         if kind == "xy":
             if P.top is None:
                 raise NoTopElement("section tables require a top element")
-            entries = section_entries(P)
+            entries = settled_sections(P).entries
             values = [[entries.get((x, y)) for y in range(P.n)] for x in range(P.n)]
         else:
             search = relative_pseudocomplement if kind == "rel" else sectional_pseudocomplement

@@ -66,8 +66,8 @@ class Poset:
     construction, e.g. the corpus enumerator).
 
     The slot ``_section_table`` is filled lazily, by
-    ``sections.verify_pseudocomplemented_sections`` on success, with
-    the complete section table, so every report on one poset shares
+    ``sections.settled_sections`` on first use, with the section table,
+    complete or not, so every report and reader on one poset shares
     it.  It is derived from ``labels`` and ``up``, plays no part in
     equality or hashing, and holds no reference back to the poset.
     """

@@ -30,26 +30,28 @@ class SectionTable:
     """Partial map (x, y) -> pseudocomplement of x inside [y, 1].
 
     Entries exist exactly for the pairs where y <= x and the
-    pseudocomplement exists; the undefined cells are the dashes of the
-    printed tables.  A complete table (every section pseudocomplemented)
-    also carries the structures derived from it, each computed once on
-    first use: the n x n grids ``arrow`` (implication cells) and
-    ``conj`` (conjunction cells) as element bitmasks, the pairwise
-    ``join`` and ``meet`` (None where absent), the negation map, and
-    the arrow-table algebra.  It keeps the order rows it reads, not the
-    poset that holds it: no reference cycle, and it outlives the poset.
+    pseudocomplement exists; ``missing`` holds the other pairs y <= x,
+    y then x ascending.  The undefined cells are the dashes of the
+    printed tables.  A complete table (nothing missing) also carries
+    the structures derived from it, each computed once on first use:
+    the n x n grids ``arrow`` (implication cells) and ``conj``
+    (conjunction cells) as element bitmasks, the pairwise ``join`` and
+    ``meet`` (None where absent), the negation map, and the arrow-table
+    algebra.  It keeps the order rows it reads, not the poset that holds
+    it: no reference cycle, and it outlives the poset.
     """
 
     labels: tuple[str, ...]
     up: tuple[int, ...]
     down: tuple[int, ...]
-    top: int
+    top: int | None
     bottom: int | None
     entries: dict[tuple[int, int], int]
+    missing: tuple[tuple[int, int], ...]
 
-    def __init__(self, P: Poset, entries: dict[tuple[int, int], int]):
-        self.__dict__.update(labels=P.labels, up=P.up, down=P.down,
-                             top=P.top, bottom=P.bottom, entries=entries)
+    def __init__(self, P: Poset, entries: dict[tuple[int, int], int], missing=()):
+        self.__dict__.update(labels=P.labels, up=P.up, down=P.down, top=P.top,
+                             bottom=P.bottom, entries=entries, missing=missing)
 
     def get(self, x: int, y: int) -> int | None:
         return self.entries.get((x, y))
@@ -122,16 +124,17 @@ def section_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     P.mask_of((x, y))  # rejects an index outside the carrier
     if P.top is None:
         raise NoTopElement("section pseudocomplements require a top element")
-    return section_entries(P).get((x, y))
+    return settled_sections(P).get(x, y)
 
 
 def _settle_section(P: Poset, y: int, entries: dict[tuple[int, int], int]) -> list[int]:
     """Store x^y in ``entries`` under (x, y) for each x in [y,1], ascending
     in x, and return the x that have none.
 
-    The candidates for x^y are [y,1] minus the up-closure of (y, x], and
-    that closure is the union of ``up[a]`` over the atoms a <= x of
-    (y, 1] (see ``verify_pseudocomplemented_sections``).
+    The candidates for x^y are [y,1] minus the up-closure of (y, x].  Every
+    s in (y, x] lies above some minimal element ("atom") a of (y, 1],
+    and such an a <= s <= x lies in (y, x] itself, so that closure is
+    the union of ``up[a]`` over the atoms a <= x.
     """
     up, down = P.up, P.down
     sec = up[y]
@@ -151,59 +154,38 @@ def _settle_section(P: Poset, y: int, entries: dict[tuple[int, int], int]) -> li
     return missing
 
 
+def settled_sections(P: Poset) -> SectionTable:
+    """Every section [y,1] of ``P`` settled, complete or not, and kept on
+    ``P``: the first call settles them, y then x ascending, and every
+    later one returns the same table."""
+    table = getattr(P, "_section_table", None)
+    if table is None:
+        entries: dict[tuple[int, int], int] = {}
+        missing = [(x, y) for y in range(P.n) for x in _settle_section(P, y, entries)]
+        table = P._section_table = SectionTable(P, entries, tuple(missing))
+    return table
+
+
 def verify_pseudocomplemented_sections(
     P: Poset, all_witnesses: bool = False
 ) -> tuple[CheckReport, SectionTable | None]:
     """Check that every section [y,1] is pseudocomplemented.
 
     Returns the report plus the full table of x^y values on success
-    (None on failure; the report then carries a witness pair).  The
-    table is kept on ``P``, so later calls return it without a search;
-    a failure keeps nothing and scans again on the next call.
-
-    Each section [y,1] is settled in one pass, y then x ascending: the
-    order of a per-pair ``section_pseudocomplement`` scan, so witnesses
-    and entries come out in that order.  The search for x^y removes the
-    up-closure of (y, x] from [y,1].  Every
-    s in (y, x] lies above some minimal element ("atom") a of (y, 1],
-    and such an a <= s <= x lies in (y, x] itself, so that closure is
-    the union of ``up[a]`` over the atoms a <= x.
+    (None on failure; the report then carries the witness pairs, y then
+    x ascending).  A poset without a top fails the first law and
+    settles nothing; otherwise its sections are settled once, all of
+    them, and kept on ``P`` whatever the verdict (``settled_sections``),
+    so a later call or a per-pair reader searches nothing.
     """
     report = CheckReport("pseudocomplemented-sections")
     if P.top is None:
         report.run_law("top", iter([()]), lambda w: (), all_witnesses)
         return report, None
     report.run_law("top", iter(()), lambda w: (), all_witnesses)
-    table = getattr(P, "_section_table", None)
-    if table is not None:
-        report.run_law("sections", iter(()), P.labels_of, all_witnesses)
-        return report, table
-    entries: dict[tuple[int, int], int] = {}
-
-    def failures():
-        for y in range(P.n):
-            for x in _settle_section(P, y, entries):
-                yield (x, y)
-
-    verdict = report.run_law("sections", failures(), P.labels_of, all_witnesses)
-    if not verdict.passed:
-        return report, None
-    P._section_table = SectionTable(P, entries)
-    return report, P._section_table
-
-
-def section_entries(P: Poset) -> dict[tuple[int, int], int]:
-    """Every x^y that exists, under (x, y): the stored table's entries
-    when ``P`` holds one, else each section settled into a fresh dict
-    that is not kept (a poset without pseudocomplemented sections gets
-    the partial map)."""
-    table = getattr(P, "_section_table", None)
-    if table is not None:
-        return table.entries
-    entries: dict[tuple[int, int], int] = {}
-    for y in range(P.n):
-        _settle_section(P, y, entries)
-    return entries
+    table = settled_sections(P)
+    verdict = report.run_law("sections", iter(table.missing), P.labels_of, all_witnesses)
+    return report, table if verdict.passed else None
 
 
 def section_table(P: Poset) -> SectionTable:
@@ -222,6 +204,8 @@ def relative_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     z fails exactly when some s in L(x) - L(y) lies below it, so the
     candidates are the carrier minus the up-closure of L(x) - L(y).
     """
+    if not (0 <= x < P.n and 0 <= y < P.n):  # inline: operator_table calls this per cell
+        P.mask_of((x, y))  # raises the out-of-range error
     return P.greatest_of(P.full & ~P.up_closure(P.down[x] & ~P.down[y]))
 
 
@@ -232,6 +216,8 @@ def sectional_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     s in L(U(x,y)) - L(y) lies below z: the candidates are [y,1] minus
     the up-closure of L(U(x,y)) - L(y).
     """
+    if not (0 <= x < P.n and 0 <= y < P.n):
+        P.mask_of((x, y))  # raises the out-of-range error
     lu = P.lower_mask(P.up[x] & P.up[y])
     return P.greatest_of(P.up[y] & ~P.up_closure(lu & ~P.down[y]))
 
@@ -244,7 +230,7 @@ def pseudocomplement(P: Poset, x: int) -> int | None:
     P.mask_of((x,))  # rejects an index outside the carrier
     if P.bottom is None:
         raise NoBottomElement("pseudocomplements require a bottom element")
-    return section_entries(P).get((x, P.bottom))
+    return settled_sections(P).get(x, P.bottom)
 
 
 def negation(P: Poset, x: int) -> int:
@@ -265,16 +251,11 @@ def negation_map(P: Poset) -> tuple[int, ...]:
     the other sections is made here)."""
     if P.bottom is None:
         raise NoBottomElement("pseudocomplements require a bottom element")
-    entries = section_entries(P)
-    out = []
-    for x in range(P.n):
-        z = entries.get((x, P.bottom))
-        if z is None:
-            raise NotPseudocomplemented(
-                f"element {P.labels[x]} has no pseudocomplement"
-            )
-        out.append(z)
-    return tuple(out)
+    table = settled_sections(P)
+    for x, y in table.missing:  # y then x ascending: the least x without one
+        if y == P.bottom:
+            raise NotPseudocomplemented(f"element {P.labels[x]} has no pseudocomplement")
+    return tuple(table.entries[(x, P.bottom)] for x in range(P.n))
 
 
 def negation_laws_report(P: Poset, all_witnesses: bool = False) -> CheckReport:

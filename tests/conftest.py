@@ -164,7 +164,7 @@ def naive_sectional_pc(P, x, y) -> int | None:
 def naive_rebuild(A) -> tuple[Poset, SectionTable]:
     """``poset_of(A)``, or the error it raises.
 
-    The rebuild as it stood before it read one ``section_entries`` of the
+    The rebuild as it stood before it read the one settled section table of the
     rebuilt order: each claimed cell below the diagonal is recomputed on
     its own, here by ``naive_section_pc``.
     """

@@ -1,8 +1,10 @@
 """Each derived structure is computed once per object and shared safely.
 
-A poset keeps its section table, the table its algebra, the algebra
-its rebuilt poset.  These tests count the section-pseudocomplement
-searches that sharing saves, check that a poset or an algebra which
+A poset keeps its section table, complete or not, the table its
+algebra, the algebra its rebuilt poset.  These tests count the
+section-pseudocomplement searches that sharing saves (each pair y <= x
+of a poset is searched once, whether its sections pass or fail and
+whichever reader asks first), check that a poset or an algebra which
 has already served every other report answers exactly as a fresh one
 does, and that none of these links makes a reference cycle.
 """
@@ -20,9 +22,11 @@ from unsharp import (
     SectionTable,
     algebra_of,
     axioms_report,
+    build_from_covers,
     divisibility_report,
     enumerate_posets,
     glivenko_skeleton,
+    implication,
     implication_properties_report,
     is_lattice,
     lattice_relative_residuation_report,
@@ -31,6 +35,7 @@ from unsharp import (
     operator_table,
     poset_of,
     roundtrip_check,
+    section_pseudocomplement,
     section_table,
     unsharp_residuation_report,
     verify_pseudocomplemented_sections,
@@ -43,6 +48,12 @@ from test_cli_golden import COMMANDS
 from test_ialgebra import single_cell_mutants
 
 DATA = Path(__file__).parent / "data"
+# a 9-point document of the CLI benchmark's generated files
+NINE = build_from_covers(
+    [f"x{i}" for i in range(9)],
+    [(f"x{a}", f"x{b}") for a, b in ((0, 4), (2, 5), (2, 7), (3, 0), (4, 1), (5, 0),
+                                     (6, 2), (6, 8), (7, 3), (8, 5), (8, 7))],
+)
 
 
 @pytest.fixture
@@ -98,6 +109,11 @@ def fresh(P: Poset) -> Poset:
     return Poset(P.labels, P.up)
 
 
+def each_pair_once(P: Poset) -> list[tuple[int, int]]:
+    """Every pair y <= x as (x, y), y then x ascending: one search of each."""
+    return [(x, y) for y in range(P.n) for x in iter_bits(P.up[y])]
+
+
 @pytest.mark.parametrize("command, expected", [
     # crown_tail has 25 pairs y <= x; roundtrip searches them again to
     # validate the one rebuild both of its roundtrips share
@@ -139,25 +155,37 @@ def test_reports_on_a_used_poset_match_a_fresh_one(pc_corpus):
             assert runs[name]() == expected, (template, name)
 
 
-def test_failed_verification_keeps_nothing(searches):
+def test_failed_verification_settles_each_pair_once(searches):
     failing = 0
     for n in range(1, 6):  # the smallest posets with a top but a section not pc have 5 points
         for template in enumerate_posets(n):
             if template.top is None:
                 continue
-            expected = verify_pseudocomplemented_sections(fresh(template), True)[0].as_dict()
-            if expected["pass"]:
+            first = verify_pseudocomplemented_sections(fresh(template))[0].as_dict()
+            if first["pass"]:
                 continue
+            every = verify_pseudocomplemented_sections(fresh(template), True)[0].as_dict()
             P = fresh(template)
             searches.clear()
-            first = verify_pseudocomplemented_sections(P)[0].as_dict()
-            scanned = len(searches)
-            searches.clear()
-            assert verify_pseudocomplemented_sections(P)[0].as_dict() == first
-            assert len(searches) == scanned  # the same early exit, not a stored answer
-            assert verify_pseudocomplemented_sections(P, True)[0].as_dict() == expected
+            for _ in range(2):
+                assert verify_pseudocomplemented_sections(P)[0].as_dict() == first
+                assert verify_pseudocomplemented_sections(P, True)[0].as_dict() == every
+            assert searches == each_pair_once(P)  # no early exit, and nothing searched again
             failing += 1
     assert failing
+
+
+@pytest.mark.parametrize("reader", [implication, section_pseudocomplement])
+@pytest.mark.parametrize("name", ["m3", "pentagon", "nine"])
+def test_per_pair_grid_searches_each_pair_once(searches, request, name, reader):
+    P = fresh(NINE if name == "nine" else request.getfixturevalue(name))
+    for x in range(P.n):
+        for y in range(P.n):
+            try:
+                reader(P, x, y)
+            except PosetError:
+                pass  # m3 has no x -> 0: its section above 0 lacks x^0
+    assert searches == each_pair_once(P)
 
 
 def failure(call):

@@ -35,3 +35,25 @@ def test_no_process_wide_caches():
                 if isinstance(node.value, ast.Name) and node.value.id == "functools":
                     offenders.append(f"{path.name}: functools.{node.attr}")
     assert not offenders, offenders
+
+
+def test_only_settled_sections_settles_and_stores_the_section_table():
+    """A poset's sections are settled and stored in one place,
+    ``sections.settled_sections``, so each is searched once."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if path.name == "sections.py" and getattr(top, "name", None) == "settled_sections":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    strings = [a.value for a in node.args if isinstance(a, ast.Constant)]
+                    if name == "_settle_section" or (
+                            name == "setattr" and "_section_table" in strings):
+                        offenders.append(f"{path.name}:{node.lineno}: {name}")
+                elif (isinstance(node, ast.Attribute) and node.attr == "_section_table"
+                      and isinstance(node.ctx, ast.Store)):
+                    offenders.append(f"{path.name}:{node.lineno}: assigns _section_table")
+    assert not offenders, offenders

@@ -7,8 +7,10 @@ from unsharp import (
     NotPseudocomplementedSections,
     Poset,
     build_from_covers,
+    conjunction,
     enumerate_posets,
     glivenko_skeleton,
+    implication,
     negation,
     negation_laws_report,
     pseudocomplement,
@@ -18,7 +20,7 @@ from unsharp import (
     sectional_pseudocomplement,
     verify_pseudocomplemented_sections,
 )
-from unsharp.sections import section_entries
+from unsharp.sections import settled_sections
 
 from conftest import (
     naive_conjunction,
@@ -93,31 +95,36 @@ def test_verify_fails_on_m3(m3):
 
 
 def test_verify_matches_per_pair_oracle_in_order():
-    # every topped labeled poset with n <= 5, pc or not: the witnesses
-    # and the table entries in the order of a per-pair scan, y then x
+    # every labeled poset with n <= 5, pc or not, topless ones included:
+    # the settled entries and missing pairs, and the witnesses, in the
+    # order of a per-pair scan, y then x
     pc = failing = 0
     for n in range(1, 6):
         for P in enumerate_posets(n):
-            if P.top is None:
-                continue
             entries, missing = [], []
             for y in range(n):
                 for x in range(n):
                     if P.le(y, x):
                         z = naive_section_pc(P, x, y)
                         if z is None:
-                            missing.append(P.labels_of((x, y)))
+                            missing.append((x, y))
                         else:
                             entries.append(((x, y), z))
+            settled = settled_sections(P)
+            assert list(settled.entries.items()) == entries, P.up
+            assert settled.missing == tuple(missing), P.up
+            if P.top is None:
+                continue
+            witnesses = tuple(map(P.labels_of, missing))
             report, table = verify_pseudocomplemented_sections(P, True)
-            assert report.verdict("sections").witnesses == tuple(missing), P.up
+            assert report.verdict("sections").witnesses == witnesses, P.up
             if missing:
                 assert table is None
                 first, _ = verify_pseudocomplemented_sections(P)
-                assert first.verdict("sections").witnesses == (missing[0],)
+                assert first.verdict("sections").witnesses == witnesses[:1]
                 failing += 1
             else:
-                assert list(table.entries.items()) == entries, P.up
+                assert table is settled
                 pc += 1
     assert pc and failing
 
@@ -296,25 +303,34 @@ def test_section_table_grids_match_oracles_on_large_posets(P):
         assert table.negation == tuple(naive_section_pc(P, x, P.bottom) for x in range(P.n))
 
 
-def test_section_entries_reads_a_stored_table_and_stores_nothing(pentagon, m3):
+def test_settled_sections_keep_one_table_complete_or_not(pentagon, m3):
     P = Poset(pentagon.labels, pentagon.up)
-    first = section_entries(P)
-    assert getattr(P, "_section_table", None) is None
-    assert section_entries(P) == first and section_entries(P) is not first
-    table = section_table(P)
-    assert first == table.entries
-    assert section_entries(P) is table.entries
-    Q = Poset(m3.labels, m3.up)  # x^0 is missing, so there is no table
-    pairs = [(x, y) for x in range(Q.n) for y in range(Q.n)]
+    table = settled_sections(P)
+    assert settled_sections(P) is table and section_table(P) is table
+    assert table.missing == ()
+    Q = Poset(m3.labels, m3.up)  # x^0 is missing, so the table is not complete
+    table = settled_sections(Q)
+    assert settled_sections(Q) is table
+    pairs = [(x, y) for y in range(Q.n) for x in range(Q.n) if Q.le(y, x)]
     want = {p: z for p in pairs if (z := naive_section_pc(Q, *p)) is not None}
-    assert section_entries(Q) == want
-    assert (Q.bottom, Q.bottom) in want and (Q.index("x"), Q.bottom) not in want
-    assert getattr(Q, "_section_table", None) is None
+    assert table.entries == want
+    assert table.missing == tuple(p for p in pairs if p not in want)
+    assert table.missing == tuple((Q.index(a), Q.bottom) for a in "xyz")
+    with pytest.raises(NotPseudocomplementedSections):
+        section_table(Q)
+    assert settled_sections(Q) is table
 
 
 def test_per_pair_readers_reject_an_index_outside_the_carrier(pentagon):
-    for x, y in ((pentagon.n, 0), (0, pentagon.n), (-1, 0)):
-        with pytest.raises(ValueError, match="out of range"):
-            section_pseudocomplement(pentagon, x, y)
-    with pytest.raises(ValueError, match="out of range"):
-        pseudocomplement(pentagon, pentagon.n)
+    # a negative index would alias an element from the end of the carrier
+    readers = (section_pseudocomplement, implication, conjunction,
+               relative_pseudocomplement, sectional_pseudocomplement)
+    P = Poset(pentagon.labels, pentagon.up)
+    for x, y in ((P.n, 0), (0, P.n), (-1, 0), (0, -1)):
+        for reader in readers:
+            bad = x if not 0 <= x < P.n else y
+            with pytest.raises(ValueError, match=f"^element index {bad} out of range$"):
+                reader(P, x, y)
+    for x in (P.n, -1):
+        with pytest.raises(ValueError, match=f"^element index {x} out of range$"):
+            pseudocomplement(P, x)
