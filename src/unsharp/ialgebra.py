@@ -130,12 +130,9 @@ class IAlgebra:
         return _rebuild(self)
 
 
-def axioms_report(A: IAlgebra, laws=None, all_witnesses: bool = False) -> CheckReport:
-    """Evaluate the axioms by exhaustive quantification over the carrier.
-
-    ``laws`` restricts the check to a subset of ``AXIOMS`` (in that
-    order); by default all six run.
-    """
+def axioms_report(A: IAlgebra, all_witnesses: bool = False) -> CheckReport:
+    """Evaluate the six ``AXIOMS``, in that order, by exhaustive
+    quantification over the carrier."""
     n, cells, up, down = A.n, A.cells, A.up, A.down
     full = (1 << n) - 1
 
@@ -198,7 +195,7 @@ def axioms_report(A: IAlgebra, laws=None, all_witnesses: bool = False) -> CheckR
         "reconstruction": reconstruction,
     }
     report = CheckReport("algebra-axioms")
-    for law in laws if laws is not None else AXIOMS:
+    for law in AXIOMS:
         report.run_law(law, generators[law](), A.labels_of, all_witnesses)
     return report
 
@@ -212,14 +209,16 @@ def algebra_of(P: Poset) -> IAlgebra:
 
 
 def poset_of(A: IAlgebra) -> tuple[Poset, SectionTable]:
-    """Rebuild the poset and its section table from an arrow table.
+    """Rebuild the poset from an arrow table, with its own settled section table.
 
     The order is x <= y iff the cell (x, y) is {unit}.  Validation is
     structural: the relation must be a partial order with the unit on
     top, cells below the diagonal must be singletons, and those
-    singletons must agree with the pseudocomplements recomputed from
-    the rebuilt order.  The rebuild is made once per algebra; an
-    algebra that fails a check raises the same error on every call.
+    singletons must agree with the pseudocomplements settled on the
+    rebuilt order.  The table returned is that order's own settled one,
+    complete, as ``section_table`` gives it.  The rebuild is made once
+    per algebra; an algebra that fails a check raises the same error on
+    every call.
     """
     return A._rebuilt
 
@@ -245,7 +244,6 @@ def _rebuild(A: IAlgebra) -> tuple[Poset, SectionTable]:
         if not up[x] >> A.unit & 1:
             raise OrderAxiomFailure(f"unit is not above {A.labels[x]}")
     P = Poset(A.labels, up, validate=False)
-    entries: dict[tuple[int, int], int] = {}
     for x in range(n):
         for y in iter_bits(P.down[x]):
             cell = cells[x][y]
@@ -253,17 +251,18 @@ def _rebuild(A: IAlgebra) -> tuple[Poset, SectionTable]:
                 raise NonSingletonSection(
                     f"cell ({A.labels[x]},{A.labels[y]}) must be a singleton"
                 )
-            entries[(x, y)] = cell.bit_length() - 1
-    induced = settled_sections(P).entries
-    for (x, y), z in entries.items():
-        recomputed = induced.get((x, y))
-        if recomputed != z:
-            raise SectionMismatch(
-                f"cell ({A.labels[x]},{A.labels[y]}) = {A.labels[z]} but the "
-                f"induced order gives "
-                f"{'nothing' if recomputed is None else A.labels[recomputed]}"
-            )
-    return P, SectionTable(P, entries)
+    # every claimed singleton matching its section leaves nothing missing
+    table = settled_sections(P)
+    for x in range(n):
+        for y in iter_bits(P.down[x]):
+            z, recomputed = cells[x][y].bit_length() - 1, table.get(x, y)
+            if recomputed != z:
+                raise SectionMismatch(
+                    f"cell ({A.labels[x]},{A.labels[y]}) = {A.labels[z]} but the "
+                    f"induced order gives "
+                    f"{'nothing' if recomputed is None else A.labels[recomputed]}"
+                )
+    return P, table
 
 
 def roundtrip_check(obj, all_witnesses: bool = False) -> CheckReport:

@@ -43,7 +43,7 @@ class ResiduationReport(CheckReport):
 
 def unsharp_residuation_report(P: Poset, all_witnesses: bool = False) -> ResiduationReport:
     """Evaluate the residuation conditions on a poset with pseudocomplemented sections."""
-    table = section_table(P)  # raises NotPseudocomplementedSections, also without a top
+    table = section_table(P)  # raises NoTopElement or NotPseudocomplementedSections
     imp, conj = table.arrow, table.conj
     top = P.top
     n = P.n

@@ -30,15 +30,16 @@ class SectionTable:
     """Partial map (x, y) -> pseudocomplement of x inside [y, 1].
 
     Entries exist exactly for the pairs where y <= x and the
-    pseudocomplement exists; ``missing`` holds the other pairs y <= x,
-    y then x ascending.  The undefined cells are the dashes of the
-    printed tables.  A complete table (nothing missing) also carries
-    the structures derived from it, each computed once on first use:
-    the n x n grids ``arrow`` (implication cells) and ``conj``
-    (conjunction cells) as element bitmasks, the pairwise ``join`` and
-    ``meet`` (None where absent), the negation map, and the arrow-table
-    algebra.  It keeps the order rows it reads, not the poset that holds
-    it: no reference cycle, and it outlives the poset.
+    pseudocomplement exists; ``missing`` holds the other pairs y <= x.
+    Both run y then x ascending.  The undefined cells are the dashes of
+    the printed tables.  ``settled_sections`` builds a poset's one table
+    and ``section_table`` hands it out only when nothing is missing.  A
+    complete table also carries the structures derived from it, each
+    computed once on first use: the n x n grids ``arrow`` (implication
+    cells) and ``conj`` (conjunction cells) as element bitmasks, the
+    pairwise ``join`` and ``meet`` (None where absent), and the
+    arrow-table algebra.  It keeps the order rows it reads, not the
+    poset that holds it: no reference cycle, and it outlives the poset.
     """
 
     labels: tuple[str, ...]
@@ -93,13 +94,6 @@ class SectionTable:
     def meet(self) -> tuple[tuple[int | None, ...], ...]:
         down = self.down
         return tuple(tuple(bounding_member(dx & dy, down) for dy in down) for dx in down)
-
-    @cached_property
-    def negation(self) -> tuple[int, ...] | None:
-        """x^0 for every element x, or None when the poset has no bottom."""
-        if self.bottom is None:
-            return None
-        return tuple(self.entries[(x, self.bottom)] for x in range(len(self.up)))
 
     @cached_property
     def algebra(self) -> IAlgebra:
@@ -189,12 +183,16 @@ def verify_pseudocomplemented_sections(
 
 
 def section_table(P: Poset) -> SectionTable:
-    """The full x^y table; raises when some section pseudocomplement is missing."""
-    report, table = verify_pseudocomplemented_sections(P)
-    if table is None:
-        fail = report.failures()[0]
-        where = f" at ({','.join(fail.witness)})" if fail.witness else ""
-        raise NotPseudocomplementedSections(f"missing section pseudocomplement{where}")
+    """The settled x^y table of ``P``, only when it is complete: the one
+    gate every reader of a complete table passes.  Raises without a top,
+    or at the first missing pair, y then x ascending."""
+    if P.top is None:
+        raise NoTopElement("section pseudocomplements require a top element")
+    table = settled_sections(P)
+    if table.missing:
+        raise NotPseudocomplementedSections(
+            f"missing section pseudocomplement at ({','.join(P.labels_of(table.missing[0]))})"
+        )
     return table
 
 
@@ -238,10 +236,7 @@ def negation(P: Poset, x: int) -> int:
     P.mask_of((x,))  # rejects an index outside the carrier
     if P.bottom is None:
         raise NoBottomElement("negation requires a bottom element")
-    _, table = verify_pseudocomplemented_sections(P)
-    if table is None:
-        raise NotPseudocomplementedSections("negation requires pseudocomplemented sections")
-    return table.negation[x]
+    return section_table(P).entries[(x, P.bottom)]
 
 
 def negation_map(P: Poset) -> tuple[int, ...]:
@@ -264,12 +259,8 @@ def negation_laws_report(P: Poset, all_witnesses: bool = False) -> CheckReport:
     and contraposition through the implication operator."""
     if P.bottom is None:
         raise NoBottomElement("negation laws require a bottom element")
-    _, table = verify_pseudocomplemented_sections(P)
-    if table is None:
-        raise NotPseudocomplementedSections(
-            "negation laws require pseudocomplemented sections"
-        )
-    neg = table.negation
+    table = section_table(P)
+    neg = negation_map(P)
     top = P.top
     report = CheckReport("negation-laws")
 

@@ -166,7 +166,8 @@ def naive_rebuild(A) -> tuple[Poset, SectionTable]:
 
     The rebuild as it stood before it read the one settled section table of the
     rebuilt order: each claimed cell below the diagonal is recomputed on
-    its own, here by ``naive_section_pc``.
+    its own, here by ``naive_section_pc``, x then y.  The entries come
+    back y then x ascending, the order the settled table holds them in.
     """
     n, cells, up = A.n, A.cells, A.up
     for x in range(n):
@@ -205,7 +206,8 @@ def naive_rebuild(A) -> tuple[Poset, SectionTable]:
                 f"induced order gives "
                 f"{'nothing' if recomputed is None else A.labels[recomputed]}"
             )
-    return P, SectionTable(P, entries)
+    return P, SectionTable(P, {(x, y): entries[(x, y)] for y in range(n) for x in range(n)
+                               if (x, y) in entries})
 
 
 def naive_closure(labels, covers) -> tuple[int, ...]:

@@ -101,14 +101,15 @@ def _bijection_failures(corpus):
     failures = []
     for P, _ in corpus:
         A = algebra_of(P)
-        if not axioms_report(A).passed:
+        axioms = axioms_report(A)
+        if not axioms.passed:
             failures.append(("axioms", P.up))
             continue
         if not roundtrip_check(P).passed:
             failures.append(("poset-roundtrip", P.up))
         if not roundtrip_check(A).passed:
             failures.append(("algebra-roundtrip", P.up))
-        if not axioms_report(A, laws=AXIOMS[:5]).passed:
+        if not all(v.passed for v in axioms.verdicts[:5]):  # the structural axioms
             failures.append(("structural-axioms", P.up))
         else:
             back, _ = poset_of(A)  # succeeds with only the structural axioms checked

@@ -131,7 +131,7 @@ def test_poset_of_needs_only_structural_axioms(pentagon, crown):
     # the reconstruction axiom is not consulted on the way back
     for P in (pentagon, crown):
         A = algebra_of(P)
-        assert axioms_report(A, laws=AXIOMS[:5]).passed
+        assert all(v.passed for v in axioms_report(A).verdicts[:5])
         back, _ = poset_of(A)
         assert back == P
 
@@ -193,6 +193,15 @@ def test_rebuild_matches_oracle_on_single_cell_mutants(pc_corpus):
             continue
         for M in single_cell_mutants(algebra_of(P)):
             assert rebuild_outcome(poset_of, M) == rebuild_outcome(naive_rebuild, M)
+
+
+def test_poset_of_returns_the_rebuilt_posets_own_table(pc_corpus):
+    # one table per rebuilt poset: the complete one its sections settled
+    for P, _ in pc_corpus:
+        if P.n > 4:
+            continue
+        back, table = poset_of(algebra_of(P))
+        assert table is section_table(back)
 
 
 @settings(max_examples=80, deadline=None)

@@ -38,8 +38,9 @@ def test_no_process_wide_caches():
 
 
 def test_only_settled_sections_settles_and_stores_the_section_table():
-    """A poset's sections are settled and stored in one place,
-    ``sections.settled_sections``, so each is searched once."""
+    """A poset's sections are settled, and its one ``SectionTable`` built
+    and stored, in one place, ``sections.settled_sections``, so each
+    section is searched once and each table derives its grids once."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -50,7 +51,7 @@ def test_only_settled_sections_settles_and_stores_the_section_table():
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "attr", getattr(node.func, "id", None))
                     strings = [a.value for a in node.args if isinstance(a, ast.Constant)]
-                    if name == "_settle_section" or (
+                    if name in ("_settle_section", "SectionTable") or (
                             name == "setattr" and "_section_table" in strings):
                         offenders.append(f"{path.name}:{node.lineno}: {name}")
                 elif (isinstance(node, ast.Attribute) and node.attr == "_section_table"

@@ -224,7 +224,7 @@ def naive_table_cells(P, kind):
     if kind == "conj":
         return [frozenset(naive_conjunction(P, x, y)) for x, y in pairs]
     if P.top is None and kind in ("xy", "imp"):
-        return NoTopElement if kind == "xy" else NotPseudocomplementedSections
+        return NoTopElement
     xy = {(x, y): naive_section_pc(P, x, y) for x, y in pairs}
     if kind == "imp":
         if any(xy[x, y] is None for x, y in pairs if P.le(y, x)):

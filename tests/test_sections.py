@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,9 @@ from unsharp import (
     NoBottomElement,
     NotPseudocomplemented,
     NotPseudocomplementedSections,
+    NoTopElement,
     Poset,
+    algebra_of,
     build_from_covers,
     conjunction,
     enumerate_posets,
@@ -13,6 +17,7 @@ from unsharp import (
     implication,
     negation,
     negation_laws_report,
+    negation_map,
     pseudocomplement,
     relative_pseudocomplement,
     section_pseudocomplement,
@@ -20,6 +25,7 @@ from unsharp import (
     sectional_pseudocomplement,
     verify_pseudocomplemented_sections,
 )
+from unsharp.cli import parse_poset_file
 from unsharp.sections import settled_sections
 
 from conftest import (
@@ -35,6 +41,7 @@ from conftest import (
 from reference_tables import CROWN_TAIL_XY, CROWN_XY, PENTAGON_XY
 from test_order import posets
 
+DATA = Path(__file__).parent / "data"
 
 def as_cells(P, table):
     """Section table re-encoded in the printed-cell convention."""
@@ -171,8 +178,6 @@ def test_sectional_below_section_pc_on_reference_posets(pentagon, crown, crown_t
 
 
 def test_negation_values(crown, crown_tail):
-    from unsharp import negation_map
-
     t = crown_tail
     assert negation(t, t.index("a")) == t.index("c")
     assert negation(t, t.bottom) == t.top
@@ -298,9 +303,10 @@ def test_section_table_grids_match_oracles_on_large_posets(P):
             assert table.join[x][y] == naive_least(P, naive_upper(P, [x, y]))
             assert table.meet[x][y] == naive_greatest(P, naive_lower(P, [x, y]))
     if P.bottom is None:
-        assert table.negation is None
+        with pytest.raises(NoBottomElement):
+            negation_map(P)
     else:
-        assert table.negation == tuple(naive_section_pc(P, x, P.bottom) for x in range(P.n))
+        assert negation_map(P) == tuple(naive_section_pc(P, x, P.bottom) for x in range(P.n))
 
 
 def test_settled_sections_keep_one_table_complete_or_not(pentagon, m3):
@@ -319,6 +325,22 @@ def test_settled_sections_keep_one_table_complete_or_not(pentagon, m3):
     with pytest.raises(NotPseudocomplementedSections):
         section_table(Q)
     assert settled_sections(Q) is table
+
+
+def test_readers_of_a_complete_table_fail_at_its_first_missing_pair(m3):
+    # every one of them passes section_table, which names the first pair
+    # y <= x without an x^y, y then x ascending
+    message = r"^missing section pseudocomplement at \(x,0\)$"
+    for read in (section_table, algebra_of, negation_laws_report,
+                 lambda P: negation(P, P.bottom)):
+        with pytest.raises(NotPseudocomplementedSections, match=message):
+            read(m3)
+
+
+def test_section_table_without_a_top_says_so():
+    second = parse_poset_file((DATA / "pair.poset").read_text())[1].build()
+    with pytest.raises(NoTopElement, match="^section pseudocomplements require a top element$"):
+        section_table(second)
 
 
 def test_per_pair_readers_reject_an_index_outside_the_carrier(pentagon):
