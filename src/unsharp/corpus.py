@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .errors import SizeLimitExceeded
-from .order import Poset, bounding_member, is_lattice, iter_bits
-from .sections import SectionTable, verify_pseudocomplemented_sections
+from .order import Poset, greatest_outside, is_lattice, iter_bits
+from .sections import SectionTable, settled_sections
 
 LABELS = "abcdefg"
 MAX_N = 7
@@ -120,12 +120,13 @@ def enumerate_canonical(n: int, force: bool = False) -> Iterator[tuple[Poset, in
 
 
 def filter_pc_sections(stream: Iterable[Poset]) -> Iterator[tuple[Poset, SectionTable]]:
-    """Keep the posets whose sections are all pseudocomplemented."""
+    """Keep the posets with a top whose settled section table misses
+    nothing, each with that table."""
     for P in stream:
         if P.top is None:
-            continue  # fails the report's first law; skip building it
-        report, table = verify_pseudocomplemented_sections(P)
-        if report.passed:
+            continue  # skipped before anything is settled
+        table = settled_sections(P)
+        if not table.missing:
             yield P, table
 
 
@@ -143,19 +144,14 @@ class CorpusStats:
 
 
 def _relatively_pseudocomplemented(P: Poset) -> bool:
-    # x * y is the greatest member of the carrier minus the up-closure of L(x) - L(y)
+    # x * y is the greatest member of the carrier above nothing in L(x) - L(y)
     if P.top is None:
         return False  # a pair x <= y leaves the whole carrier, which then has no greatest
     up, down, full = P.up, P.down, P.full
     for dx in down:
         for dy in down:
-            diff = dx & ~dy
-            if not diff:
-                continue  # the whole carrier is left: its greatest is the top
-            closure = 0
-            for s in iter_bits(diff):
-                closure |= up[s]
-            if bounding_member(full & ~closure, down) is None:
+            diff = dx & ~dy  # empty: the whole carrier is left, and its greatest is the top
+            if diff and greatest_outside(full, diff, up, down) is None:
                 return False
     return True
 
@@ -170,8 +166,7 @@ def corpus_stats(n: int, force: bool = False) -> CorpusStats:
             continue  # no element is in every up-cone: no top
         with_top += 1
         P = Poset(labels, up, validate=False)
-        report, _ = verify_pseudocomplemented_sections(P)
-        if report.passed:
+        if not settled_sections(P).missing:
             pc += 1
         if is_lattice(P):
             lattices += 1

@@ -99,6 +99,9 @@ class IAlgebra:
 
     def with_cell(self, x: int, y: int, value) -> "IAlgebra":
         """Copy of the algebra with one cell replaced (for mutation testing)."""
+        for e in (x, y):  # a negative index would alias a cell from the end
+            if not 0 <= e < self.n:
+                raise ValueError(f"element index {e} out of range")
         rows = [list(row) for row in self.cells]
         rows[x][y] = _cell_mask(frozenset(value), self.n)
         return IAlgebra.from_cells(self.labels, rows, self.unit)

@@ -37,6 +37,7 @@ class OperatorTable:
     cells: tuple[tuple[frozenset[int] | None, ...], ...]
 
     def cell(self, x: int, y: int) -> frozenset[int] | None:
+        self.poset.mask_of((x, y))  # rejects an index outside the carrier
         return self.cells[x][y]
 
 

@@ -48,6 +48,15 @@ def bounding_member(mask: int, cones: Sequence[int]) -> int | None:
     return None
 
 
+def greatest_outside(base: int, seeds: int, up: Sequence[int], down: Sequence[int]) -> int | None:
+    """The greatest member of ``base`` above no member of ``seeds``, or None:
+    the one search behind x^y, x * y and x o y."""
+    closure = 0
+    for s in iter_bits(seeds):
+        closure |= up[s]
+    return bounding_member(base & ~closure, down)
+
+
 def extremal(mask: int, cones: Sequence[int]) -> int:
     """The members of ``mask`` whose cone meets ``mask`` in themselves (minimal or maximal)."""
     out = 0
@@ -181,13 +190,6 @@ class Poset:
         out = 0
         for a in iter_bits(mask):
             out |= self.down[a]
-        return out
-
-    def up_closure(self, mask: int) -> int:
-        """Everything above some element of ``mask``."""
-        out = 0
-        for a in iter_bits(mask):
-            out |= self.up[a]
         return out
 
     def min_mask(self, mask: int) -> int:

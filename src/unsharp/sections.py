@@ -18,7 +18,7 @@ from .errors import (
     NotPseudocomplementedSections,
     NoTopElement,
 )
-from .order import Poset, bounding_member, extremal, iter_bits
+from .order import Poset, bounding_member, extremal, greatest_outside, iter_bits
 from .reports import CheckReport
 
 if TYPE_CHECKING:
@@ -125,26 +125,21 @@ def _settle_section(P: Poset, y: int, entries: dict[tuple[int, int], int]) -> li
     """Store x^y in ``entries`` under (x, y) for each x in [y,1], ascending
     in x, and return the x that have none.
 
-    The candidates for x^y are [y,1] minus the up-closure of (y, x].  Every
+    x^y is the greatest member of [y,1] above nothing in (y, x].  Every
     s in (y, x] lies above some minimal element ("atom") a of (y, 1],
-    and such an a <= s <= x lies in (y, x] itself, so that closure is
-    the union of ``up[a]`` over the atoms a <= x.
+    and such an a <= s <= x lies in (y, x] itself, so the atoms a <= x
+    seed the same up-closure as all of (y, x].
     """
     up, down = P.up, P.down
     sec = up[y]
     atoms = extremal(sec & ~(1 << y), down)
     missing = []
     for x in iter_bits(sec):
-        closure = 0
-        for a in iter_bits(atoms & down[x]):
-            closure |= up[a]
-        cand = sec & ~closure
-        for z in iter_bits(cand):
-            if not cand & ~down[z]:
-                entries[(x, y)] = z
-                break
-        else:
+        z = greatest_outside(sec, atoms & down[x], up, down)
+        if z is None:
             missing.append(x)
+        else:
+            entries[(x, y)] = z
     return missing
 
 
@@ -199,25 +194,23 @@ def section_table(P: Poset) -> SectionTable:
 def relative_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     """Greatest z with L(x,z) contained in L(y), or None.
 
-    z fails exactly when some s in L(x) - L(y) lies below it, so the
-    candidates are the carrier minus the up-closure of L(x) - L(y).
+    z fails exactly when some s in L(x) - L(y) lies below it, so z is the
+    greatest member of the carrier above nothing in L(x) - L(y).
     """
-    if not (0 <= x < P.n and 0 <= y < P.n):  # inline: operator_table calls this per cell
-        P.mask_of((x, y))  # raises the out-of-range error
-    return P.greatest_of(P.full & ~P.up_closure(P.down[x] & ~P.down[y]))
+    P.mask_of((x, y))  # rejects an index outside the carrier
+    return greatest_outside(P.full, P.down[x] & ~P.down[y], P.up, P.down)
 
 
 def sectional_pseudocomplement(P: Poset, x: int, y: int) -> int | None:
     """Greatest z with L(U(x,y), z) = L(y), or None.
 
     L(y) lies inside L(U(x,y)), so the equation asks y <= z and that no
-    s in L(U(x,y)) - L(y) lies below z: the candidates are [y,1] minus
-    the up-closure of L(U(x,y)) - L(y).
+    s in L(U(x,y)) - L(y) lies below z: z is the greatest member of
+    [y,1] above nothing in L(U(x,y)) - L(y).
     """
-    if not (0 <= x < P.n and 0 <= y < P.n):
-        P.mask_of((x, y))  # raises the out-of-range error
+    P.mask_of((x, y))  # rejects an index outside the carrier
     lu = P.lower_mask(P.up[x] & P.up[y])
-    return P.greatest_of(P.up[y] & ~P.up_closure(lu & ~P.down[y]))
+    return greatest_outside(P.up[y], lu & ~P.down[y], P.up, P.down)
 
 
 def pseudocomplement(P: Poset, x: int) -> int | None:

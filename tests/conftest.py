@@ -126,6 +126,13 @@ def naive_least(P, elems) -> int | None:
     return None
 
 
+def naive_greatest_outside(P, base, seeds) -> int | None:
+    """The z in ``base`` with no seed below it that lies above every other such z."""
+    cands = [z for z in base if not any(P.le(s, z) for s in seeds)]
+    greatest = [z for z in cands if all(P.le(w, z) for w in cands)]
+    return greatest[0] if greatest else None
+
+
 def naive_section_pc(P, x, y) -> int | None:
     """Greatest z with L(x,z) n [y,1] = {y}, straight from the set definition."""
     sec = {w for w in range(P.n) if P.le(y, w)}

@@ -37,6 +37,7 @@ from unsharp import (
 from unsharp.cli import main
 
 from conftest import corpus_n6_enabled
+from test_ialgebra import single_cell_mutants
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -98,29 +99,49 @@ def test_criterion_3_glivenko_skeleton(crown_tail):
 
 
 def _bijection_failures(corpus):
+    """The bijection suite's failures, and how each single-cell mutant
+    that passes the five structural axioms but fails reconstruction was
+    stopped (mutants of the posets with n <= 4 only)."""
     failures = []
+    stopped = {"roundtrip": 0, "NonSingletonSection": 0, "SectionMismatch": 0}
     for P, _ in corpus:
         A = algebra_of(P)
-        axioms = axioms_report(A)
-        if not axioms.passed:
+        if not axioms_report(A).passed:
             failures.append(("axioms", P.up))
             continue
         if not roundtrip_check(P).passed:
             failures.append(("poset-roundtrip", P.up))
         if not roundtrip_check(A).passed:
             failures.append(("algebra-roundtrip", P.up))
-        if not all(v.passed for v in axioms.verdicts[:5]):  # the structural axioms
-            failures.append(("structural-axioms", P.up))
-        else:
-            back, _ = poset_of(A)  # succeeds with only the structural axioms checked
-            if back != P:
-                failures.append(("poset_of", P.up))
-    return failures
+        back, _ = poset_of(A)
+        if back != P:
+            failures.append(("poset_of", P.up))
+        if P.n > 4:
+            continue
+        for M in single_cell_mutants(A):
+            *structural, reconstruction = axioms_report(M).verdicts
+            if reconstruction.passed or not all(v.passed for v in structural):
+                continue
+            try:
+                if roundtrip_check(M).passed:
+                    failures.append(("structural-axioms", P.up, M.cells))
+                else:
+                    stopped["roundtrip"] += 1
+            except (NonSingletonSection, SectionMismatch) as exc:
+                stopped[type(exc).__name__] += 1
+    return failures, stopped
 
 
 def test_criterion_4_bijection_suite(pc_corpus):
-    failures = _bijection_failures(pc_corpus)
-    report_line(4, f"bijection suite over {len(pc_corpus)} posets (n <= 5)", failures)
+    failures, stopped = _bijection_failures(pc_corpus)
+    report_line(
+        4,
+        f"bijection suite over {len(pc_corpus)} posets (n <= 5); structural-only "
+        f"mutants (n <= 4): {stopped['roundtrip']} fail the roundtrip, "
+        f"{stopped['NonSingletonSection']} NonSingletonSection, "
+        f"{stopped['SectionMismatch']} SectionMismatch",
+        failures,
+    )
 
 
 def _theorem_failures(corpus):
@@ -280,7 +301,7 @@ def test_criterion_9_mutation_search(pentagon):
 @pytest.mark.skipif(not corpus_n6_enabled(), reason="set UNSHARP_CORPUS_N6=1 to run the n=6 sweep")
 def test_criteria_4_to_7_at_n6():
     corpus = list(filter_pc_sections(enumerate_posets(6)))
-    failures = _bijection_failures(corpus)
+    failures, _ = _bijection_failures(corpus)
     res_failures, diverged = _theorem_failures(corpus)
     failures += res_failures
     prop_failures, dominance_failures = _property_failures(corpus)

@@ -15,11 +15,12 @@ from unsharp import (
     enumerate_posets,
     is_lattice,
 )
-from unsharp.order import Poset, iter_bits
+from unsharp.order import Poset, greatest_outside, iter_bits
 
 from conftest import (
     naive_closure,
     naive_greatest,
+    naive_greatest_outside,
     naive_is_lattice,
     naive_least,
     naive_lower,
@@ -97,6 +98,16 @@ def test_bounds_of_every_subset_match_naive():
                 elems = P.set_of(mask)
                 assert P.greatest_of(mask) == naive_greatest(P, elems)
                 assert P.least_of(mask) == naive_least(P, elems)
+
+
+def test_greatest_outside_matches_naive():
+    for n in range(1, 5):
+        for P in enumerate_posets(n):
+            for base in range(1 << n):
+                for seeds in range(1 << n):
+                    assert greatest_outside(base, seeds, P.up, P.down) == naive_greatest_outside(
+                        P, P.set_of(base), P.set_of(seeds)
+                    )
 
 
 def test_build_from_relation_matches_closure(crown):

@@ -18,6 +18,7 @@ from unsharp import (
     negation,
     negation_laws_report,
     negation_map,
+    operator_table,
     pseudocomplement,
     relative_pseudocomplement,
     section_pseudocomplement,
@@ -346,7 +347,9 @@ def test_section_table_without_a_top_says_so():
 def test_per_pair_readers_reject_an_index_outside_the_carrier(pentagon):
     # a negative index would alias an element from the end of the carrier
     readers = (section_pseudocomplement, implication, conjunction,
-               relative_pseudocomplement, sectional_pseudocomplement)
+               relative_pseudocomplement, sectional_pseudocomplement,
+               lambda P, x, y: operator_table(P, "conj").cell(x, y),
+               lambda P, x, y: algebra_of(P).with_cell(x, y, {0}))
     P = Poset(pentagon.labels, pentagon.up)
     for x, y in ((P.n, 0), (0, P.n), (-1, 0), (0, -1)):
         for reader in readers:
