@@ -19,10 +19,8 @@ that row is smaller.  Kept posets count their automorphisms on the way.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
@@ -49,9 +47,10 @@ def _labels(n: int, force: bool) -> tuple[str, ...]:
 def _labeled_relations(n: int) -> Iterator[tuple[int, ...]]:
     # yields the closed up-rows of every labeled poset on n points: each
     # (n - 1)-point poset in its own order, then its one-point extensions
-    # (ideals ascending, filters descending), all streamed from this frame
-    if n == 1:
-        yield (1,)
+    # (ideals ascending, filters descending), all streamed from this frame;
+    # n = 0 yields the one empty relation
+    if n == 0:
+        yield ()
         return
     bit = 1 << (n - 1)
     full = bit - 1
@@ -157,19 +156,25 @@ def _relatively_pseudocomplemented(P: Poset) -> bool:
 
 
 def corpus_stats(n: int, force: bool = False) -> CorpusStats:
-    """Aggregate counts over the labeled stream."""
+    """Aggregate counts over the labeled stream.
+
+    A labeled poset with a top is a label for the top plus a labeled
+    poset, its body, on the other n - 1 points, and every counted
+    property is invariant under relabeling.  So each body is settled
+    once with its top adjoined at the last index, and its counts are
+    taken n times: n = 6 settles 4231 posets instead of 25386.
+    """
     labels = _labels(n, force)
-    total = with_top = pc = lattices = rel = 0
-    for up in _labeled_relations(n):
-        total += 1
-        if not functools.reduce(operator.and_, up):
-            continue  # no element is in every up-cone: no top
-        with_top += 1
-        P = Poset(labels, up, validate=False)
+    total = sum(1 for _ in _labeled_relations(n))
+    top = 1 << (n - 1)
+    bodies = pc = lattices = rel = 0
+    for body in _labeled_relations(n - 1):
+        bodies += 1
+        P = Poset(labels, [row | top for row in body] + [top], validate=False)
         if not settled_sections(P).missing:
             pc += 1
         if is_lattice(P):
             lattices += 1
         if _relatively_pseudocomplemented(P):
             rel += 1
-    return CorpusStats(n, total, with_top, pc, lattices, rel)
+    return CorpusStats(n, total, n * bodies, n * pc, n * lattices, n * rel)

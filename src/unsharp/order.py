@@ -206,9 +206,11 @@ class Poset:
         return bounding_member(mask, self.up)
 
     def join(self, a: int, b: int) -> int | None:
+        self.mask_of((a, b))  # rejects an index outside the carrier
         return self.least_of(self.up[a] & self.up[b])
 
     def meet(self, a: int, b: int) -> int | None:
+        self.mask_of((a, b))  # rejects an index outside the carrier
         return self.greatest_of(self.down[a] & self.down[b])
 
     def covers(self) -> list[tuple[int, int]]:
@@ -224,7 +226,7 @@ class Poset:
 
     def restrict(self, elems: Iterable[int]) -> "Poset":
         """Induced subposet on the given elements (ascending index order)."""
-        keep = sorted(set(elems))
+        keep = iter_bits(self.mask_of(elems))
         pos = {e: k for k, e in enumerate(keep)}
         up = []
         for e in keep:

@@ -7,8 +7,10 @@ the bitmask fast paths they are used to check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 
 import pytest
@@ -29,8 +31,10 @@ from unsharp import (
     section_table,
     verify_pseudocomplemented_sections,
 )
+from unsharp.corpus import LABELS, CorpusStats, _labeled_relations, _relatively_pseudocomplemented
 from unsharp.order import iter_bits
 from unsharp.residuation import ResiduationReport
+from unsharp.sections import settled_sections
 
 from reference_tables import (
     CROWN_COVERS,
@@ -369,6 +373,24 @@ def naive_corpus_stats(n: int) -> dict:
         rel += all(naive_relative_pc(P, x, y) is not None for x, y in pairs)
     return {"n": n, "total_posets": total, "with_top": with_top, "pc_sections": pc,
             "lattices": lattices, "rel_pc": rel}
+
+
+def labeled_census(n: int) -> CorpusStats:
+    """The ``corpus_stats(n)`` census over every topped poset of the n-point
+    labeled stream, with the library's own three tests on each: the
+    route the census took before it counted topped posets by body."""
+    labels = LABELS[:n]
+    total = with_top = pc = lattices = rel = 0
+    for up in _labeled_relations(n):
+        total += 1
+        if not functools.reduce(operator.and_, up):
+            continue  # no element is in every up-cone: no top
+        with_top += 1
+        P = Poset(labels, up, validate=False)
+        pc += not settled_sections(P).missing
+        lattices += is_lattice(P)
+        rel += _relatively_pseudocomplemented(P)
+    return CorpusStats(n, total, with_top, pc, lattices, rel)
 
 
 def naive_axioms(A) -> list:

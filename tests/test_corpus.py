@@ -14,6 +14,7 @@ from unsharp.order import Poset
 
 from conftest import (
     corpus_n6_enabled,
+    labeled_census,
     naive_canonical,
     naive_corpus_stats,
     naive_is_poset,
@@ -140,6 +141,25 @@ def test_corpus_stats_small():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_corpus_stats_match_naive_census(n):
     assert corpus_stats(n).as_dict() == naive_corpus_stats(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_corpus_stats_by_body_match_labeled_census(n):
+    assert corpus_stats(n) == labeled_census(n)
+
+
+@pytest.mark.n6
+@pytest.mark.skipif(not corpus_n6_enabled(), reason="set UNSHARP_CORPUS_N6=1 to run the n=6 sweep")
+def test_corpus_stats_by_body_n6_match_labeled_census():
+    assert corpus_stats(6) == labeled_census(6)
+
+
+@pytest.mark.n6
+@pytest.mark.skipif(not corpus_n6_enabled(), reason="set UNSHARP_CORPUS_N6=1 to run the n=6 sweep")
+def test_corpus_stats_n7():
+    s = corpus_stats(7, force=True)
+    assert (s.total_posets, s.with_top, s.pc_sections, s.lattices, s.rel_pc) == (
+        6129859, 910161, 704284, 157962, 74550)
 
 
 def test_rel_pc_census_matches_oracle_with_and_without_top():
