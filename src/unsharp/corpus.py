@@ -6,7 +6,9 @@ antisymmetric, transitive relation on n labeled points appears exactly
 once.  Posets are grown one element at a time; the new element chooses
 an order ideal below it and an order filter above it, with every
 ideal member strictly below every filter member, which characterises
-the valid one-point extensions without any rejection step.
+the valid one-point extensions without any rejection step.  Each level
+hands the next its closed up and down rows, and every corpus poset is
+built from them by ``Poset.closed`` without transposing them again.
 
 Canonical mode keeps one representative per isomorphism class (the
 lexicographically least incidence encoding over all relabelings) and
@@ -44,39 +46,45 @@ def _labels(n: int, force: bool) -> tuple[str, ...]:
     return tuple(LABELS[:n])
 
 
-def _labeled_relations(n: int) -> Iterator[tuple[int, ...]]:
-    # yields the closed up-rows of every labeled poset on n points: each
-    # (n - 1)-point poset in its own order, then its one-point extensions
-    # (ideals ascending, filters descending), all streamed from this frame;
-    # n = 0 yields the one empty relation
+def _labeled_relations(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # yields the closed (up, down) rows of every labeled poset on n points:
+    # each (n - 1)-point poset in its own order, then its one-point
+    # extensions (ideals ascending, filters descending), all streamed from
+    # this frame; n = 0 yields the one empty relation
     if n == 0:
-        yield ()
+        yield (), ()
         return
     bit = 1 << (n - 1)
     full = bit - 1
-    for up in _labeled_relations(n - 1):
-        down = [0] * (n - 1)
-        for x, row in enumerate(up):
-            for y in iter_bits(row):
-                down[y] |= 1 << x
+    for up, down in _labeled_relations(n - 1):
+        # the filters are the complements of the ideals; each keeps, once
+        # first used, the old down rows with the new point below its members
+        ideals = []
+        filters = set()
         for ideal in range(bit):
             closure = 0
             for x in iter_bits(ideal):
                 closure |= down[x]
-            if closure != ideal:
-                continue
+            if closure == ideal:
+                ideals.append(ideal)
+                filters.add(full & ~ideal)
+        old_down = {}
+        for ideal in ideals:
             region = full & ~ideal
             for x in iter_bits(ideal):
                 region &= up[x]
             # every filter of this ideal shares the old rows, with the new point above the ideal
             prefix = tuple([row | bit if ideal >> x & 1 else row for x, row in enumerate(up)])
+            new_down = (ideal | bit,)
             flt = region
             while True:
-                closure = 0
-                for y in iter_bits(flt):
-                    closure |= up[y]
-                if closure == flt:
-                    yield prefix + (bit | flt,)
+                if flt in filters:
+                    d = old_down.get(flt)
+                    if d is None:
+                        d = old_down[flt] = tuple(
+                            [row | bit if flt >> y & 1 else row for y, row in enumerate(down)]
+                        )
+                    yield prefix + (bit | flt,), d + new_down
                 if flt == 0:
                     break
                 flt = (flt - 1) & region
@@ -85,8 +93,8 @@ def _labeled_relations(n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_posets(n: int, force: bool = False) -> Iterator[Poset]:
     """Stream of every labeled poset on n elements."""
     labels = _labels(n, force)
-    for up in _labeled_relations(n):
-        yield Poset(labels, up, validate=False)
+    for up, down in _labeled_relations(n):
+        yield Poset.closed(labels, up, down)
 
 
 def enumerate_canonical(n: int, force: bool = False) -> Iterator[tuple[Poset, int]]:
@@ -101,7 +109,7 @@ def enumerate_canonical(n: int, force: bool = False) -> Iterator[tuple[Poset, in
             bit = 1 << perm.index(k)
             table += [m | bit for m in table]
         tables.append((perm, bytes(table)))
-    for up in _labeled_relations(n):
+    for up, down in _labeled_relations(n):
         automorphisms = 0
         for perm, table in tables:
             # relabeled row i is table[up[perm[i]]]; the first differing row decides
@@ -115,7 +123,7 @@ def enumerate_canonical(n: int, force: bool = False) -> Iterator[tuple[Poset, in
             if image < row:
                 break
         else:
-            yield Poset(labels, up, validate=False), fact // automorphisms
+            yield Poset.closed(labels, up, down), fact // automorphisms
 
 
 def filter_pc_sections(stream: Iterable[Poset]) -> Iterator[tuple[Poset, SectionTable]]:
@@ -167,10 +175,11 @@ def corpus_stats(n: int, force: bool = False) -> CorpusStats:
     labels = _labels(n, force)
     total = sum(1 for _ in _labeled_relations(n))
     top = 1 << (n - 1)
+    full = (top << 1) - 1
     bodies = pc = lattices = rel = 0
-    for body in _labeled_relations(n - 1):
+    for body, body_down in _labeled_relations(n - 1):
         bodies += 1
-        P = Poset(labels, [row | top for row in body] + [top], validate=False)
+        P = Poset.closed(labels, tuple([row | top for row in body]) + (top,), body_down + (full,))
         if not settled_sections(P).missing:
             pc += 1
         if is_lattice(P):

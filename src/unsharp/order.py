@@ -72,7 +72,8 @@ class Poset:
     ``up`` must already be reflexive and transitively closed;
     construction re-checks the order axioms unless ``validate=False``
     (reserved for internal callers that build closed relations by
-    construction, e.g. the corpus enumerator).
+    construction, e.g. ``restrict``).  ``Poset.closed`` takes rows that
+    are already closed and transposed and checks nothing.
 
     The slot ``_section_table`` is filled lazily, by
     ``sections.settled_sections`` on first use, with the section table,
@@ -81,33 +82,46 @@ class Poset:
     equality or hashing, and holds no reference back to the poset.
     """
 
-    __slots__ = ("n", "labels", "up", "down", "full", "top", "bottom", "_index", "_section_table")
+    __slots__ = ("n", "labels", "up", "down", "full", "top", "bottom", "_section_table")
 
     def __init__(self, labels: Iterable[str], up: Iterable[int], *, validate: bool = True):
-        self.labels = tuple(labels)
-        self.up = tuple(up)
-        self.n = len(self.labels)
-        if len(self.up) != self.n:
+        labels = tuple(labels)
+        up = tuple(up)
+        n = len(labels)
+        if len(up) != n:
             raise ValueError("relation has a different size than the label list")
-        self.full = full = (1 << self.n) - 1
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != self.n or not all(self.labels):
-            for i, lab in enumerate(self.labels):
+        full = (1 << n) - 1
+        if len(set(labels)) != n or not all(labels):
+            for i, lab in enumerate(labels):
                 if not lab:
                     raise ValueError("labels must be non-empty strings")
-                if lab in self.labels[:i]:
+                if lab in labels[:i]:
                     raise DuplicateLabel(f"duplicate label {lab!r}")
-        down = [0] * self.n
-        for i, row in enumerate(self.up):
+        down = [0] * n
+        for i, row in enumerate(up):
             if row & ~full:
                 raise ValueError(f"row {i} mentions out-of-range elements")
             for j in iter_bits(row):
                 down[j] |= 1 << i
-        self.down = down = tuple(down)
+        self._set_rows(labels, up, tuple(down))
         if validate:
             self._validate()
+
+    @classmethod
+    def closed(cls, labels: tuple[str, ...], up: tuple[int, ...], down: tuple[int, ...]) -> "Poset":
+        """The poset of rows already closed and transposed: ``labels`` are
+        distinct and non-empty, ``up`` is reflexive and transitive and
+        ``down`` is its transpose.  Nothing is checked."""
+        P = cls.__new__(cls)
+        P._set_rows(labels, up, down)
+        return P
+
+    def _set_rows(self, labels: tuple[str, ...], up: tuple[int, ...], down: tuple[int, ...]) -> None:
+        self.labels, self.up, self.down = labels, up, down
+        self.n = n = len(labels)
+        self.full = full = (1 << n) - 1
         self.top = down.index(full) if full in down else None
-        self.bottom = self.up.index(full) if full in self.up else None
+        self.bottom = up.index(full) if full in up else None
 
     def _validate(self) -> None:
         for i in range(self.n):
@@ -146,8 +160,8 @@ class Poset:
 
     def index(self, label: str) -> int:
         try:
-            return self._index[label]
-        except KeyError:
+            return self.labels.index(label)
+        except ValueError:
             raise UnknownLabel(f"unknown label {label!r}") from None
 
     def mask_of(self, elems: Iterable[int]) -> int:
@@ -167,10 +181,11 @@ class Poset:
     # -- order queries -------------------------------------------------------
 
     def le(self, i: int, j: int) -> bool:
+        self.mask_of((i, j))  # rejects an index outside the carrier
         return bool(self.up[i] >> j & 1)
 
     def lt(self, i: int, j: int) -> bool:
-        return i != j and self.le(i, j)
+        return self.le(i, j) and i != j
 
     def lower_mask(self, mask: int) -> int:
         """Common lower cone of the elements in ``mask`` (whole carrier for the empty set)."""

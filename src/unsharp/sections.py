@@ -254,7 +254,7 @@ def negation_laws_report(P: Poset, all_witnesses: bool = False) -> CheckReport:
         raise NoBottomElement("negation laws require a bottom element")
     table = section_table(P)
     neg = negation_map(P)
-    top = P.top
+    top, up = P.top, P.up
     report = CheckReport("negation-laws")
 
     def bounds_swap():
@@ -263,13 +263,13 @@ def negation_laws_report(P: Poset, all_witnesses: bool = False) -> CheckReport:
 
     def antitone():
         for x in range(P.n):
-            for y in iter_bits(P.up[x]):
-                if not P.le(neg[y], neg[x]):
+            for y in iter_bits(up[x]):
+                if not up[neg[y]] >> neg[x] & 1:
                     yield (x, y)
 
     def extensive():
         for x in range(P.n):
-            if not P.le(x, neg[neg[x]]):
+            if not up[x] >> neg[neg[x]] & 1:
                 yield (x,)
 
     def triple_collapse():

@@ -381,7 +381,7 @@ def labeled_census(n: int) -> CorpusStats:
     route the census took before it counted topped posets by body."""
     labels = LABELS[:n]
     total = with_top = pc = lattices = rel = 0
-    for up in _labeled_relations(n):
+    for up, _ in _labeled_relations(n):
         total += 1
         if not functools.reduce(operator.and_, up):
             continue  # no element is in every up-cone: no top

@@ -45,15 +45,29 @@ def test_generator_matches_brute_force(n, count):
     assert set(generated) == brute_force_relations(n)
 
 
+SLOTS = ("labels", "up", "down", "n", "full", "top", "bottom")
+
+
+def assert_stream_matches_oracle(n):
+    """The stream's up rows are the naive generator's, and every poset built
+    from the stream's closed rows equals the one the validating constructor
+    builds from its labels and up rows, slot by slot."""
+    posets = list(enumerate_posets(n))
+    assert [P.up for P in posets] == list(naive_labeled_relations(n))
+    for P in posets:
+        Q = Poset(P.labels, P.up)
+        assert [getattr(P, s) for s in SLOTS] == [getattr(Q, s) for s in SLOTS]
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_labeled_stream_matches_naive_oracle(n):
-    assert [P.up for P in enumerate_posets(n)] == list(naive_labeled_relations(n))
+    assert_stream_matches_oracle(n)
 
 
 @pytest.mark.n6
 @pytest.mark.skipif(not corpus_n6_enabled(), reason="set UNSHARP_CORPUS_N6=1 to run the n=6 sweep")
 def test_labeled_stream_n6_matches_naive_oracle():
-    assert [P.up for P in enumerate_posets(6)] == list(naive_labeled_relations(6))
+    assert_stream_matches_oracle(6)
 
 
 def test_labeled_count_n5():

@@ -58,3 +58,15 @@ def test_only_settled_sections_settles_and_stores_the_section_table():
                       and isinstance(node.ctx, ast.Store)):
                     offenders.append(f"{path.name}:{node.lineno}: assigns _section_table")
     assert not offenders, offenders
+
+
+def test_corpus_builds_every_poset_from_closed_rows():
+    """Every corpus poset comes from the stream's closed ``(up, down)`` rows
+    through ``Poset.closed``, so none pays for the transposition and the
+    checks of ``Poset.__init__``."""
+    offenders = []
+    tree = ast.parse((SRC / "corpus.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Poset":
+            offenders.append(f"corpus.py:{node.lineno}: Poset(...)")
+    assert not offenders, offenders

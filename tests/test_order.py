@@ -88,7 +88,7 @@ def test_construction_matches_naive_recomputation():
                 assert Q.down == down
                 assert Q.top == naive_greatest(Q, range(n))
                 assert Q.bottom == naive_least(Q, range(n))
-                assert Q._index == {lab: i for i, lab in enumerate(Q.labels)}
+                assert all(Q.index(lab) == i for i, lab in enumerate(Q.labels))
 
 
 def test_bounds_of_every_subset_match_naive():

@@ -350,7 +350,8 @@ def test_per_pair_readers_reject_an_index_outside_the_carrier(pentagon):
                relative_pseudocomplement, sectional_pseudocomplement,
                lambda P, x, y: operator_table(P, "conj").cell(x, y),
                lambda P, x, y: algebra_of(P).with_cell(x, y, {0}),
-               Poset.join, Poset.meet, lambda P, x, y: P.restrict([x, y]))
+               Poset.join, Poset.meet, Poset.le, Poset.lt,
+               lambda P, x, y: P.restrict([x, y]))
     P = Poset(pentagon.labels, pentagon.up)
     for x, y in ((P.n, 0), (0, P.n), (-1, 0), (0, -1)):
         for reader in readers:
