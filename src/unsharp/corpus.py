@@ -16,7 +16,15 @@ reports its orbit size, so summing orbits reproduces the labeled count.
 Each call builds one byte table per permutation that maps a row mask to
 its relabeled mask; a relabeling is compared with the poset one row at a
 time, stops at the first row that differs, and rejects the poset when
-that row is smaller.  Kept posets count their automorphisms on the way.
+that row is smaller.  The identity is never tried, and the other
+relabelings are tried by total displacement, smallest first, because a
+poset that is not least is most often undone by moving few points.
+Kept posets count their automorphisms on the way, starting from the
+identity's one.
+
+The census counts the labeled posets without streaming them: each
+(n - 1)-point poset knows how many one-point extensions it has, one per
+order ideal and per filter that fits above it.
 """
 
 from __future__ import annotations
@@ -46,6 +54,43 @@ def _labels(n: int, force: bool) -> tuple[str, ...]:
     return tuple(LABELS[:n])
 
 
+def _ideals(up: tuple[int, ...], down: tuple[int, ...]) -> list[tuple[int, int]]:
+    # each order ideal of the poset, ascending, with its region: the points
+    # outside the ideal and above all of it, where the filter of a one-point
+    # extension above that ideal must lie
+    full = (1 << len(down)) - 1
+    ideals = []
+    for ideal in range(full + 1):
+        closure = 0
+        for x in iter_bits(ideal):
+            closure |= down[x]
+        if closure == ideal:
+            region = full & ~ideal
+            for x in iter_bits(ideal):
+                region &= up[x]
+            ideals.append((ideal, region))
+    return ideals
+
+
+def _extension_count(up: tuple[int, ...], down: tuple[int, ...]) -> int:
+    # the number of one-point extensions _labeled_relations makes of this
+    # poset, without building their rows: one per ideal and per filter (the
+    # complement of an ideal) inside that ideal's region
+    full = (1 << len(down)) - 1
+    ideals = _ideals(up, down)
+    filters = {full & ~ideal for ideal, _ in ideals}
+    count = 0
+    for _, region in ideals:
+        flt = region
+        while True:
+            if flt in filters:
+                count += 1
+            if flt == 0:
+                break
+            flt = (flt - 1) & region
+    return count
+
+
 def _labeled_relations(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     # yields the closed (up, down) rows of every labeled poset on n points:
     # each (n - 1)-point poset in its own order, then its one-point
@@ -59,20 +104,10 @@ def _labeled_relations(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...
     for up, down in _labeled_relations(n - 1):
         # the filters are the complements of the ideals; each keeps, once
         # first used, the old down rows with the new point below its members
-        ideals = []
-        filters = set()
-        for ideal in range(bit):
-            closure = 0
-            for x in iter_bits(ideal):
-                closure |= down[x]
-            if closure == ideal:
-                ideals.append(ideal)
-                filters.add(full & ~ideal)
+        ideals = _ideals(up, down)
+        filters = {full & ~ideal for ideal, _ in ideals}
         old_down = {}
-        for ideal in ideals:
-            region = full & ~ideal
-            for x in iter_bits(ideal):
-                region &= up[x]
+        for ideal, region in ideals:
             # every filter of this ideal shares the old rows, with the new point above the ideal
             prefix = tuple([row | bit if ideal >> x & 1 else row for x, row in enumerate(up)])
             new_down = (ideal | bit,)
@@ -101,16 +136,23 @@ def enumerate_canonical(n: int, force: bool = False) -> Iterator[tuple[Poset, in
     """Canonical representatives with their orbit sizes under relabeling."""
     labels = _labels(n, force)
     fact = math.factorial(n)
+    # the identity (displacement 0) sorts first and is left out: it fixes
+    # every poset, so the scan starts with one automorphism; the smallest
+    # moves come next, since they reject most posets that are not least
+    perms = sorted(
+        itertools.permutations(range(n)),
+        key=lambda perm: (sum(abs(p - i) for i, p in enumerate(perm)), perm),
+    )[1:]
     # table[mask] moves bit perm[j] of a row mask to bit j
     tables = []
-    for perm in itertools.permutations(range(n)):
+    for perm in perms:
         table = [0]
         for k in range(n):
             bit = 1 << perm.index(k)
             table += [m | bit for m in table]
         tables.append((perm, bytes(table)))
     for up, down in _labeled_relations(n):
-        automorphisms = 0
+        automorphisms = 1
         for perm, table in tables:
             # relabeled row i is table[up[perm[i]]]; the first differing row decides
             for p, row in zip(perm, up):
@@ -164,20 +206,24 @@ def _relatively_pseudocomplemented(P: Poset) -> bool:
 
 
 def corpus_stats(n: int, force: bool = False) -> CorpusStats:
-    """Aggregate counts over the labeled stream.
+    """Aggregate counts over the labeled stream, taken from one pass over
+    the (n - 1)-point posets.
 
-    A labeled poset with a top is a label for the top plus a labeled
-    poset, its body, on the other n - 1 points, and every counted
-    property is invariant under relabeling.  So each body is settled
-    once with its top adjoined at the last index, and its counts are
-    taken n times: n = 6 settles 4231 posets instead of 25386.
+    Every labeled n-point poset is a one-point extension of the poset on
+    its first n - 1 points, so ``total_posets`` sums their extension
+    counts and no n-point row is built.  A labeled poset with a top is a
+    label for the top plus a labeled poset, its body, on the other n - 1
+    points, and every counted property is invariant under relabeling.
+    So each body is settled once with its top adjoined at the last index,
+    and its counts are taken n times: n = 6 settles 4231 posets instead
+    of 25386.
     """
     labels = _labels(n, force)
-    total = sum(1 for _ in _labeled_relations(n))
     top = 1 << (n - 1)
     full = (top << 1) - 1
-    bodies = pc = lattices = rel = 0
+    total = bodies = pc = lattices = rel = 0
     for body, body_down in _labeled_relations(n - 1):
+        total += _extension_count(body, body_down)
         bodies += 1
         P = Poset.closed(labels, tuple([row | top for row in body]) + (top,), body_down + (full,))
         if not settled_sections(P).missing:

@@ -173,6 +173,8 @@ class Poset:
         return m
 
     def set_of(self, mask: int) -> tuple[int, ...]:
+        if mask & ~self.full:
+            raise ValueError(f"mask {mask} out of range")
         return iter_bits(mask)
 
     def labels_of(self, elems: Iterable[int]) -> tuple[str, ...]:

@@ -1,4 +1,6 @@
 
+import itertools
+
 import pytest
 
 from unsharp import (
@@ -9,7 +11,8 @@ from unsharp import (
     filter_pc_sections,
     relative_pseudocomplement,
 )
-from unsharp.corpus import _relatively_pseudocomplemented
+from unsharp import corpus
+from unsharp.corpus import _extension_count, _labeled_relations, _relatively_pseudocomplemented
 from unsharp.order import Poset
 
 from conftest import (
@@ -68,6 +71,33 @@ def test_labeled_stream_matches_naive_oracle(n):
 @pytest.mark.skipif(not corpus_n6_enabled(), reason="set UNSHARP_CORPUS_N6=1 to run the n=6 sweep")
 def test_labeled_stream_n6_matches_naive_oracle():
     assert_stream_matches_oracle(6)
+
+
+def assert_extension_counts_match_stream(k):
+    """Each k-point poset's extension count is the length of the run of
+    consecutive (k + 1)-point posets whose first k rows, restricted to the
+    first k points, are its own."""
+    low = (1 << k) - 1
+    runs = [
+        (parent, len(list(children)))
+        for parent, children in itertools.groupby(
+            _labeled_relations(k + 1), key=lambda rows: tuple(row & low for row in rows[0][:k])
+        )
+    ]
+    posets = list(_labeled_relations(k))
+    assert [parent for parent, _ in runs] == [up for up, _ in posets]
+    assert [length for _, length in runs] == [_extension_count(up, down) for up, down in posets]
+
+
+@pytest.mark.parametrize("k", range(0, 5))
+def test_extension_count_matches_stream(k):
+    assert_extension_counts_match_stream(k)
+
+
+@pytest.mark.n6
+@pytest.mark.skipif(not corpus_n6_enabled(), reason="set UNSHARP_CORPUS_N6=1 to run the n=6 sweep")
+def test_extension_count_k5_matches_stream():
+    assert_extension_counts_match_stream(5)
 
 
 def test_labeled_count_n5():
@@ -160,6 +190,23 @@ def test_corpus_stats_match_naive_census(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_corpus_stats_by_body_match_labeled_census(n):
     assert corpus_stats(n) == labeled_census(n)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_corpus_stats_never_streams_n_points(monkeypatch, n):
+    # the census counts all n-point posets from their (n - 1)-point bodies;
+    # the wrapper also sees the stream's own recursion through the module global
+    requested = []
+    stream = corpus._labeled_relations
+
+    def recording(k):
+        requested.append(k)
+        return stream(k)
+
+    monkeypatch.setattr(corpus, "_labeled_relations", recording)
+    corpus_stats(n)
+    assert requested[0] == n - 1
+    assert n not in requested
 
 
 @pytest.mark.n6

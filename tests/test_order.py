@@ -100,6 +100,15 @@ def test_bounds_of_every_subset_match_naive():
                 assert P.least_of(mask) == naive_least(P, elems)
 
 
+def test_set_of_rejects_a_mask_outside_the_carrier():
+    # a negative mask would alias a byte of the bit table, a high bit a point past the carrier
+    P = build_from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert [P.set_of(mask) for mask in (0, 5, P.full)] == [(), (0, 2), (0, 1, 2)]
+    for mask in (-1, -300, P.full + 1, 1 << 5):
+        with pytest.raises(ValueError, match=f"^mask {mask} out of range$"):
+            P.set_of(mask)
+
+
 def test_greatest_outside_matches_naive():
     for n in range(1, 5):
         for P in enumerate_posets(n):
