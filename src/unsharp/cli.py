@@ -17,6 +17,8 @@ members in declaration order, or ``-`` (undefined).  Exit status: 0
 when everything passed, 1 when some check failed, 2 on input errors.
 Every input error names a line: a syntax error its own, and a duplicate
 label, unknown cover label or cycle the ``poset`` header of its document.
+Every command judges every document of a file before it prints, so an
+input error (exit 2) prints nothing on stdout.
 A document may declare at most ``MAX_ELEMENTS`` (64) elements; a larger
 one is a ``SizeLimitExceeded`` input error at its ``poset`` header line,
 raised before any document of the file is checked.
@@ -197,13 +199,15 @@ def _print_blocks(args) -> int:
 
 def _run_reports(args) -> int:
     """The report commands.  ``args.report`` maps a poset and ``all_witnesses``
-    to its pass/fail, its JSON fields after ``"pass"`` and its text lines."""
-    ok = True
+    to its pass/fail, its JSON fields after ``"pass"`` and its text lines.
+    Every document is judged before anything is printed."""
+    texts, ok = [], True
     for doc in _load_docs(args.file):
         passed, fields, lines = args.report(doc.build(), args.all_witnesses)
-        print(json.dumps({"name": doc.name, "pass": passed, **fields}) if args.json
-              else "\n".join(lines))
+        texts.append(json.dumps({"name": doc.name, "pass": passed, **fields}) if args.json
+                     else "\n".join(lines))
         ok &= passed
+    print("\n".join(texts))
     return 0 if ok else 1
 
 

@@ -1,8 +1,12 @@
 """Arrow-table algebras, their axiom checker, and the two translations.
 
 An algebra is a finite carrier with a total set-valued arrow and a
-distinguished unit.  The six axioms characterise exactly the arrow
-tables that arise from finite posets with pseudocomplemented sections;
+distinguished unit.  The six axioms hold on every arrow table that
+arises from a finite poset with pseudocomplemented sections, but they
+are necessary, not sufficient: on the 2-chain b < a, setting a -> b to
+{a, b} passes all six, and ``poset_of`` rejects it with
+``NonSingletonSection``.  Until an axiom closes that gap, ``poset_of``
+rejects the tables that pass the axioms without coming from a poset.
 ``algebra_of`` and ``poset_of`` are the mutually inverse translations,
 and ``roundtrip_check`` certifies the inversion on concrete instances.
 
@@ -18,14 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    DuplicateLabel,
-    NonSingletonSection,
-    OrderAxiomFailure,
-    SectionMismatch,
-    UnknownLabel,
-)
-from .order import Poset, iter_bits
+from .errors import NonSingletonSection, OrderAxiomFailure, SectionMismatch, UnknownLabel
+from .order import Poset, checked_labels, iter_bits, labels_at
 from .reports import CheckReport
 from .sections import SectionTable, section_table, settled_sections
 
@@ -45,10 +43,7 @@ def _cell_mask(cell, n: int) -> int:
     return sum(1 << v for v in cell) if all(0 <= v < n for v in cell) else 0
 
 
-def _validate(labels, rows, unit: int, bad_cell) -> None:
-    n = len(labels)
-    if len(set(labels)) != n:
-        raise DuplicateLabel("carrier labels must be distinct")
+def _validate(n: int, rows, unit: int, bad_cell) -> None:
     if not 0 <= unit < n:
         raise ValueError("unit must be a carrier element")
     if len(rows) != n or any(len(row) != n for row in rows):
@@ -70,16 +65,18 @@ class IAlgebra:
     unit: int
 
     def __init__(self, labels, arrow, unit: int):
+        labels = checked_labels(labels)
         n = len(labels)
-        _validate(labels, arrow, unit, lambda cell: not _cell_mask(cell, n))
+        _validate(n, arrow, unit, lambda cell: not _cell_mask(cell, n))
         cells = tuple(tuple(_cell_mask(cell, n) for cell in row) for row in arrow)
         self.__dict__.update(labels=labels, cells=cells, unit=unit)
 
     @classmethod
     def from_cells(cls, labels, cells, unit: int) -> "IAlgebra":
         """The algebra whose arrow cells are the given element bitmasks."""
+        labels = checked_labels(labels)
         full = (1 << len(labels)) - 1
-        _validate(labels, cells, unit, lambda cell: not cell or cell & ~full)
+        _validate(len(labels), cells, unit, lambda cell: not cell or cell & ~full)
         A = cls.__new__(cls)
         A.__dict__.update(labels=labels, cells=tuple(map(tuple, cells)), unit=unit)
         return A
@@ -95,13 +92,11 @@ class IAlgebra:
             raise UnknownLabel(f"unknown label {label!r}") from None
 
     def labels_of(self, elems) -> tuple[str, ...]:
-        return tuple(self.labels[e] for e in elems)
+        return labels_at(self.labels, elems)
 
     def with_cell(self, x: int, y: int, value) -> "IAlgebra":
         """Copy of the algebra with one cell replaced (for mutation testing)."""
-        for e in (x, y):  # a negative index would alias a cell from the end
-            if not 0 <= e < self.n:
-                raise ValueError(f"element index {e} out of range")
+        self.labels_of((x, y))  # a negative index would alias a cell from the end
         rows = [list(row) for row in self.cells]
         rows[x][y] = _cell_mask(frozenset(value), self.n)
         return IAlgebra.from_cells(self.labels, rows, self.unit)
@@ -246,7 +241,7 @@ def _rebuild(A: IAlgebra) -> tuple[Poset, SectionTable]:
                 )
         if not up[x] >> A.unit & 1:
             raise OrderAxiomFailure(f"unit is not above {A.labels[x]}")
-    P = Poset(A.labels, up, validate=False)
+    P = Poset.closed(A.labels, up, A.down)
     for x in range(n):
         for y in iter_bits(P.down[x]):
             cell = cells[x][y]

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import (
-    CycleDetected,
-    DuplicateLabel,
-    NotAntisymmetric,
-    NotTransitive,
-    UnknownLabel,
-)
+from .errors import CycleDetected, DuplicateLabel, NotAntisymmetric, NotTransitive, UnknownLabel
 
 
 # the set bit positions of every byte value, ascending, as a low and as a high byte
@@ -66,14 +60,40 @@ def extremal(mask: int, cones: Sequence[int]) -> int:
     return out
 
 
+def checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """``labels`` as a tuple, once every label is non-empty and seen once;
+    otherwise the first offender in order is named.  The one label check."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels) or not all(labels):
+        for i, lab in enumerate(labels):
+            if not lab:
+                raise ValueError("labels must be non-empty strings")
+            if lab in labels[:i]:
+                raise DuplicateLabel(f"duplicate label {lab!r}")
+    return labels
+
+
+def labels_at(labels: tuple[str, ...], elems: Iterable[int]) -> tuple[str, ...]:
+    """The labels of the element indices ``elems``, in order; an index
+    outside the carrier is rejected, never read from the end."""
+    out = []
+    for e in elems:
+        if not 0 <= e < len(labels):
+            raise ValueError(f"element index {e} out of range")
+        out.append(labels[e])
+    return tuple(out)
+
+
 class Poset:
     """Immutable finite poset over labelled elements.
 
-    ``up`` must already be reflexive and transitively closed;
-    construction re-checks the order axioms unless ``validate=False``
-    (reserved for internal callers that build closed relations by
-    construction, e.g. ``restrict``).  ``Poset.closed`` takes rows that
-    are already closed and transposed and checks nothing.
+    Two constructors, one per source of rows.  ``Poset(labels, up)`` is
+    for rows from outside: it checks the labels and that ``up`` is
+    reflexive, antisymmetric and transitive, and raises at the first
+    failure (reflexivity at each element, then for each i and each j
+    above it antisymmetry of (i, j) and transitivity through j).
+    ``Poset.closed(labels, up, down)`` is for rows the library closed
+    itself and checks nothing.
 
     The slot ``_section_table`` is filled lazily, by
     ``sections.settled_sections`` on first use, with the section table,
@@ -84,28 +104,32 @@ class Poset:
 
     __slots__ = ("n", "labels", "up", "down", "full", "top", "bottom", "_section_table")
 
-    def __init__(self, labels: Iterable[str], up: Iterable[int], *, validate: bool = True):
-        labels = tuple(labels)
-        up = tuple(up)
+    def __init__(self, labels: Iterable[str], up: Iterable[int]):
+        labels, up = tuple(labels), tuple(up)
         n = len(labels)
         if len(up) != n:
             raise ValueError("relation has a different size than the label list")
+        checked_labels(labels)
         full = (1 << n) - 1
-        if len(set(labels)) != n or not all(labels):
-            for i, lab in enumerate(labels):
-                if not lab:
-                    raise ValueError("labels must be non-empty strings")
-                if lab in labels[:i]:
-                    raise DuplicateLabel(f"duplicate label {lab!r}")
         down = [0] * n
         for i, row in enumerate(up):
             if row & ~full:
                 raise ValueError(f"row {i} mentions out-of-range elements")
             for j in iter_bits(row):
                 down[j] |= 1 << i
+        for i in range(n):
+            if not up[i] >> i & 1:
+                raise ValueError(f"relation is not reflexive at {labels[i]}")
+        for i in range(n):
+            for j in iter_bits(up[i]):
+                if i != j and up[j] >> i & 1:
+                    raise NotAntisymmetric(f"{labels[i]} <= {labels[j]} and conversely")
+                missing = up[j] & ~up[i]
+                if missing:
+                    k = iter_bits(missing)[0]
+                    raise NotTransitive(f"{labels[i]} <= {labels[j]} <= {labels[k]} "
+                                        f"but not {labels[i]} <= {labels[k]}")
         self._set_rows(labels, up, tuple(down))
-        if validate:
-            self._validate()
 
     @classmethod
     def closed(cls, labels: tuple[str, ...], up: tuple[int, ...], down: tuple[int, ...]) -> "Poset":
@@ -122,24 +146,6 @@ class Poset:
         self.full = full = (1 << n) - 1
         self.top = down.index(full) if full in down else None
         self.bottom = up.index(full) if full in up else None
-
-    def _validate(self) -> None:
-        for i in range(self.n):
-            if not self.up[i] >> i & 1:
-                raise ValueError(f"relation is not reflexive at {self.labels[i]}")
-        for i in range(self.n):
-            for j in iter_bits(self.up[i]):
-                if i != j and self.up[j] >> i & 1:
-                    raise NotAntisymmetric(
-                        f"{self.labels[i]} <= {self.labels[j]} and conversely"
-                    )
-                missing = self.up[j] & ~self.up[i]
-                if missing:
-                    k = iter_bits(missing)[0]
-                    raise NotTransitive(
-                        f"{self.labels[i]} <= {self.labels[j]} <= {self.labels[k]} "
-                        f"but not {self.labels[i]} <= {self.labels[k]}"
-                    )
 
     # -- identity ----------------------------------------------------------
 
@@ -178,7 +184,7 @@ class Poset:
         return iter_bits(mask)
 
     def labels_of(self, elems: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.labels[e] for e in elems)
+        return labels_at(self.labels, elems)
 
     # -- order queries -------------------------------------------------------
 
@@ -244,58 +250,45 @@ class Poset:
     def restrict(self, elems: Iterable[int]) -> "Poset":
         """Induced subposet on the given elements (ascending index order)."""
         keep = iter_bits(self.mask_of(elems))
-        pos = {e: k for k, e in enumerate(keep)}
-        up = []
-        for e in keep:
-            row = 0
-            for f in iter_bits(self.up[e]):
-                if f in pos:
-                    row |= 1 << pos[f]
-            up.append(row)
-        return Poset((self.labels[e] for e in keep), up, validate=False)
+
+        def rows(cones: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(sum(1 << k for k, f in enumerate(keep) if cones[e] >> f & 1) for e in keep)
+
+        return Poset.closed(tuple(self.labels[e] for e in keep), rows(self.up), rows(self.down))
 
 
 # -- construction -------------------------------------------------------------
 
 
-def _label_indices(labels: Sequence[str], pairs, what: str) -> list[tuple[int, int]]:
-    index = {}
-    for i, lab in enumerate(labels):
-        if lab in index:
-            raise DuplicateLabel(f"duplicate label {lab!r}")
-        index[lab] = i
-    out = []
+def _reflexive_rows(labels: Iterable[str], pairs, what: str) -> tuple[tuple[str, ...], list[int]]:
+    """The checked labels and their reflexive rows with the label ``pairs`` added."""
+    labels = checked_labels(labels)
+    if not labels:
+        raise ValueError("a poset needs at least one element")
+    index = {lab: i for i, lab in enumerate(labels)}
+    up = [1 << i for i in range(len(labels))]
     for low, high in pairs:
-        if low not in index:
-            raise UnknownLabel(f"unknown label {low!r} in {what}")
-        if high not in index:
-            raise UnknownLabel(f"unknown label {high!r} in {what}")
-        out.append((index[low], index[high]))
-    return out
+        for lab in (low, high):
+            if lab not in index:
+                raise UnknownLabel(f"unknown label {lab!r} in {what}")
+        up[index[low]] |= 1 << index[high]
+    return labels, up
 
 
 def build_from_covers(labels: Sequence[str], covers) -> Poset:
     """Poset whose order is the reflexive-transitive closure of the cover pairs."""
-    if not labels:
-        raise ValueError("a poset needs at least one element")
-    edges = _label_indices(labels, covers, "covers")
-    n = len(labels)
-    up = [1 << i for i in range(n)]
-    for low, high in edges:
-        up[low] |= 1 << high
+    labels, up = _reflexive_rows(labels, covers, "covers")
     # Warshall: after step k, row i holds every j reachable through points 0..k
-    for k in range(n):
+    for k in range(len(up)):
         bit, row = 1 << k, up[k]
         for i, r in enumerate(up):
             if r & bit:
                 up[i] = r | row
-    for i in range(n):
-        for j in iter_bits(up[i]):
-            if i != j and up[j] >> i & 1:
-                raise CycleDetected(
-                    f"covers force {labels[i]} <= {labels[j]} and conversely"
-                )
-    return Poset(labels, up, validate=False)
+    # the closed rows are reflexive and transitive, so a failure is a cycle
+    try:
+        return Poset(labels, up)
+    except NotAntisymmetric as exc:
+        raise CycleDetected(f"covers force {exc}") from None
 
 
 def build_from_relation(labels: Sequence[str], pairs) -> Poset:
@@ -304,14 +297,7 @@ def build_from_relation(labels: Sequence[str], pairs) -> Poset:
     The relation is validated against antisymmetry and transitivity and
     rejected (rather than repaired) when either fails.
     """
-    if not labels:
-        raise ValueError("a poset needs at least one element")
-    rel = _label_indices(labels, pairs, "relation")
-    n = len(labels)
-    up = [1 << i for i in range(n)]
-    for low, high in rel:
-        up[low] |= 1 << high
-    return Poset(labels, up)
+    return Poset(*_reflexive_rows(labels, pairs, "relation"))
 
 
 # -- elementary operations -----------------------------------------------------

@@ -21,6 +21,8 @@ from unsharp import (
     CycleDetected,
     NonSingletonSection,
     NotALattice,
+    NotAntisymmetric,
+    NotTransitive,
     OrderAxiomFailure,
     Poset,
     SectionMismatch,
@@ -199,7 +201,7 @@ def naive_rebuild(A) -> tuple[Poset, SectionTable]:
                 )
         if not up[x] >> A.unit & 1:
             raise OrderAxiomFailure(f"unit is not above {A.labels[x]}")
-    P = Poset(A.labels, up, validate=False)
+    P = Poset(A.labels, up)
     entries: dict[tuple[int, int], int] = {}
     for x in range(n):
         for y in iter_bits(P.down[x]):
@@ -252,21 +254,30 @@ def naive_closure(labels, covers) -> tuple[int, ...]:
     return tuple(up)
 
 
-def naive_is_poset(up_rows: tuple[int, ...]) -> bool:
-    """Order-axiom check on raw bit rows, written with quantifier loops only."""
-    n = len(up_rows)
+def naive_order_failure(labels, up_rows) -> tuple[type, str] | None:
+    """The type and message of the first order axiom ``Poset(labels, up_rows)``
+    finds broken, or None when the rows are a partial order.
+
+    Quantifier loops over the carrier: reflexivity at each i, then for
+    each i and each j with i <= j, antisymmetry of (i, j) and then
+    transitivity through j to the least k.
+    """
+    n = len(labels)
     le = lambda i, j: bool(up_rows[i] >> j & 1)
     for i in range(n):
         if not le(i, i):
-            return False
+            return ValueError, f"relation is not reflexive at {labels[i]}"
     for i in range(n):
         for j in range(n):
-            if i != j and le(i, j) and le(j, i):
-                return False
+            if not le(i, j):
+                continue
+            if i != j and le(j, i):
+                return NotAntisymmetric, f"{labels[i]} <= {labels[j]} and conversely"
             for k in range(n):
-                if le(i, j) and le(j, k) and not le(i, k):
-                    return False
-    return True
+                if le(j, k) and not le(i, k):
+                    return NotTransitive, (f"{labels[i]} <= {labels[j]} <= {labels[k]} "
+                                           f"but not {labels[i]} <= {labels[k]}")
+    return None
 
 
 def naive_labeled_relations(n: int):
@@ -381,12 +392,12 @@ def labeled_census(n: int) -> CorpusStats:
     route the census took before it counted topped posets by body."""
     labels = LABELS[:n]
     total = with_top = pc = lattices = rel = 0
-    for up, _ in _labeled_relations(n):
+    for up, down in _labeled_relations(n):
         total += 1
         if not functools.reduce(operator.and_, up):
             continue  # no element is in every up-cone: no top
         with_top += 1
-        P = Poset(labels, up, validate=False)
+        P = Poset.closed(labels, up, down)
         pc += not settled_sections(P).missing
         lattices += is_lattice(P)
         rel += _relatively_pseudocomplemented(P)

@@ -257,17 +257,16 @@ def test_build_errors_name_their_document(capsys, tmp_path, body, message):
     path = tmp_path / "bad.poset"
     path.write_text(f"poset fine\nelements: x\n\n# the second document\nposet bad\n{body}\n")
     for command in ("tables", "check", "dot"):
-        code, _, err = run(capsys, command, str(path))
-        assert (code, err) == (2, f"error: line 5: {message}\n")
+        assert run(capsys, command, str(path)) == (2, "", f"error: line 5: {message}\n")
 
 
 @pytest.mark.parametrize("command, partial", [
-    ("check", True), ("roundtrip", True), ("residuation", True), ("skeleton", True),
+    ("check", False), ("roundtrip", False), ("residuation", False), ("skeleton", False),
     ("tables", False), ("dot", False),
 ])
 def test_partial_output_before_a_later_build_error(capsys, tmp_path, command, partial):
-    # the report commands print each document's report as they go; the block
-    # commands build every document before they print anything
+    # every command judges every document before it prints anything, so an
+    # input error in a later document leaves stdout empty
     first = "poset fine\nelements: 0 1\ncovers: 0<1\n"
     good, bad = tmp_path / "good.poset", tmp_path / "bad.poset"
     good.write_text(first)

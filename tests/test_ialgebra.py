@@ -13,6 +13,7 @@ from unsharp import (
     UnknownLabel,
     algebra_of,
     axioms_report,
+    build_from_covers,
     poset_of,
     roundtrip_check,
     section_table,
@@ -115,6 +116,17 @@ def test_poset_of_rejects_non_singleton_section(pentagon):
     c, a = A.index("c"), A.index("a")
     mutant = A.with_cell(c, a, {a, A.index("b")})
     with pytest.raises(NonSingletonSection):
+        poset_of(mutant)
+
+
+def test_axioms_are_necessary_but_not_sufficient():
+    # the 2-chain b < a with a -> b = {a, b}: all six axioms pass, and only
+    # poset_of rejects the table
+    A = algebra_of(build_from_covers(["b", "a"], [("b", "a")]))
+    a, b = A.index("a"), A.index("b")
+    mutant = A.with_cell(a, b, {a, b})
+    assert axioms_report(mutant).passed
+    with pytest.raises(NonSingletonSection, match=r"^cell \(a,b\) must be a singleton$"):
         poset_of(mutant)
 
 
@@ -275,3 +287,18 @@ def test_from_cells_validates_like_the_constructor():
         with pytest.raises(ValueError, match="^arrow cells must be non-empty carrier subsets$"):
             A.with_cell(1, 0, bad)
     assert IAlgebra.from_cells(labels, [list(row) for row in good[1]], 1) == A
+
+
+def test_labels_are_checked_and_kept_as_a_tuple():
+    one = frozenset((1,))
+    arrow = ((one, one), (frozenset((0,)), one))
+    cells = ((2, 2), (1, 2))
+    for build, rows in ((IAlgebra, arrow), (IAlgebra.from_cells, cells)):
+        A = build(["a", "b"], rows, 1)
+        assert A.labels == ("a", "b")
+        assert A == build(("a", "b"), rows, 1)
+        assert hash(A) == hash(build(("a", "b"), rows, 1))
+        with pytest.raises(ValueError, match="^labels must be non-empty strings$"):
+            build(["", "b"], rows, 1)
+        with pytest.raises(DuplicateLabel, match="^duplicate label 'a'$"):
+            build(["a", "a"], rows, 1)

@@ -281,7 +281,7 @@ def pc_posets(draw, min_n=8, max_n=12):
         above = (1 << k) - 1 if bounded and k == n - 1 else 0
         for g in gens:
             above |= up[g]
-        P = Poset([f"e{i}" for i in range(k + 1)], up + [1 << k | above], validate=False)
+        P = Poset([f"e{i}" for i in range(k + 1)], up + [1 << k | above])
         if any(naive_section_pc(P, x, k) is None for x in range(k + 1) if P.le(k, x)):
             above = up[gens[0]]
         up.append(1 << k | above)
@@ -351,7 +351,9 @@ def test_per_pair_readers_reject_an_index_outside_the_carrier(pentagon):
                lambda P, x, y: operator_table(P, "conj").cell(x, y),
                lambda P, x, y: algebra_of(P).with_cell(x, y, {0}),
                Poset.join, Poset.meet, Poset.le, Poset.lt,
-               lambda P, x, y: P.restrict([x, y]))
+               lambda P, x, y: P.restrict([x, y]),
+               lambda P, x, y: P.labels_of((x, y)),
+               lambda P, x, y: algebra_of(P).labels_of((x, y)))
     P = Poset(pentagon.labels, pentagon.up)
     for x, y in ((P.n, 0), (0, P.n), (-1, 0), (0, -1)):
         for reader in readers:
