@@ -69,7 +69,10 @@ class PosetDocument:
 
 
 def parse_poset_file(text: str) -> list[PosetDocument]:
-    """Parse one file into its documents; raises ParseError with a line number."""
+    """Parse one file into its documents; raises ParseError with a line number.
+
+    Lines end at a line feed only; a trailing carriage return is stripped
+    as whitespace."""
     docs: list[PosetDocument] = []
     name = None
     labels: list[str] = []
@@ -88,7 +91,7 @@ def parse_poset_file(text: str) -> list[PosetDocument]:
         docs.append(PosetDocument(name, tuple(labels), tuple(covers), header_line))
         name, labels, covers = None, [], []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -185,8 +188,7 @@ def _load_docs(path: str) -> list[PosetDocument]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the line holding the first bad byte, counted as the parser counts lines
-        line = len((data[:exc.start].decode() + ".").splitlines())
-        raise ParseError("not valid UTF-8", line) from None
+        raise ParseError("not valid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
     return parse_poset_file(text)
 
 

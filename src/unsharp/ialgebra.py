@@ -9,6 +9,10 @@ are necessary, not sufficient: on the 2-chain b < a, setting a -> b to
 rejects the tables that pass the axioms without coming from a poset.
 ``algebra_of`` and ``poset_of`` are the mutually inverse translations,
 and ``roundtrip_check`` certifies the inversion on concrete instances.
+The rebuild checks, in this order, the order axioms (through the checked
+``Poset`` constructor, the library's one order check), the unit on top,
+the singleton cells below the diagonal, and their agreement with the
+sections of the rebuilt order.
 
 Inside axioms, "cell = 1" means the cell is exactly {unit}, and an
 arrow applied to an inner set is required to hit {unit} for every
@@ -22,7 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NonSingletonSection, OrderAxiomFailure, SectionMismatch, UnknownLabel
+from .errors import (
+    NonSingletonSection,
+    NotAntisymmetric,
+    NotTransitive,
+    OrderAxiomFailure,
+    SectionMismatch,
+    UnknownLabel,
+)
 from .order import Poset, checked_labels, iter_bits, labels_at
 from .reports import CheckReport
 from .sections import SectionTable, section_table, settled_sections
@@ -43,15 +54,6 @@ def _cell_mask(cell, n: int) -> int:
     return sum(1 << v for v in cell) if all(0 <= v < n for v in cell) else 0
 
 
-def _validate(n: int, rows, unit: int, bad_cell) -> None:
-    if not 0 <= unit < n:
-        raise ValueError("unit must be a carrier element")
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError("arrow table must be n x n")
-    if any(bad_cell(cell) for row in rows for cell in row):
-        raise ValueError("arrow cells must be non-empty carrier subsets")
-
-
 @dataclass(frozen=True, init=False)
 class IAlgebra:
     """Carrier labels, total arrow table of non-empty cells, unit element.
@@ -67,19 +69,26 @@ class IAlgebra:
     def __init__(self, labels, arrow, unit: int):
         labels = checked_labels(labels)
         n = len(labels)
-        _validate(n, arrow, unit, lambda cell: not _cell_mask(cell, n))
-        cells = tuple(tuple(_cell_mask(cell, n) for cell in row) for row in arrow)
-        self.__dict__.update(labels=labels, cells=cells, unit=unit)
+        self._set(labels, [[_cell_mask(cell, n) for cell in row] for row in arrow], unit)
 
     @classmethod
     def from_cells(cls, labels, cells, unit: int) -> "IAlgebra":
         """The algebra whose arrow cells are the given element bitmasks."""
-        labels = checked_labels(labels)
-        full = (1 << len(labels)) - 1
-        _validate(len(labels), cells, unit, lambda cell: not cell or cell & ~full)
         A = cls.__new__(cls)
-        A.__dict__.update(labels=labels, cells=tuple(map(tuple, cells)), unit=unit)
+        A._set(checked_labels(labels), cells, unit)
         return A
+
+    def _set(self, labels: tuple[str, ...], cells, unit: int) -> None:
+        # the one table check of both constructors
+        n = len(labels)
+        if not 0 <= unit < n:
+            raise ValueError("unit must be a carrier element")
+        if len(cells) != n or any(len(row) != n for row in cells):
+            raise ValueError("arrow table must be n x n")
+        full = (1 << n) - 1
+        if any(not cell or cell & ~full for row in cells for cell in row):
+            raise ValueError("arrow cells must be non-empty carrier subsets")
+        self.__dict__.update(labels=labels, cells=tuple(map(tuple, cells)), unit=unit)
 
     @property
     def n(self) -> int:
@@ -210,38 +219,29 @@ def poset_of(A: IAlgebra) -> tuple[Poset, SectionTable]:
     """Rebuild the poset from an arrow table, with its own settled section table.
 
     The order is x <= y iff the cell (x, y) is {unit}.  Validation is
-    structural: the relation must be a partial order with the unit on
-    top, cells below the diagonal must be singletons, and those
-    singletons must agree with the pseudocomplements settled on the
-    rebuilt order.  The table returned is that order's own settled one,
-    complete, as ``section_table`` gives it.  The rebuild is made once
-    per algebra; an algebra that fails a check raises the same error on
-    every call.
+    structural and runs in four steps, each raising at its first failure:
+    the order axioms, through the checked ``Poset`` constructor, whose
+    failure is re-raised as ``OrderAxiomFailure`` with its message; then
+    the unit on top ("unit is not above x" for the least x not below
+    it); then every cell below the diagonal a singleton; then those
+    singletons agreeing with the pseudocomplements settled on the
+    rebuilt order.  The table
+    returned is that order's own settled one, complete, as
+    ``section_table`` gives it.  The rebuild is made once per algebra; an
+    algebra that fails a check raises the same error on every call.
     """
     return A._rebuilt
 
 
 def _rebuild(A: IAlgebra) -> tuple[Poset, SectionTable]:
-    n, cells, up = A.n, A.cells, A.up
-    for x in range(n):
-        if not up[x] >> x & 1:
-            raise OrderAxiomFailure(f"relation is not reflexive at {A.labels[x]}")
-    for x in range(n):
-        for y in iter_bits(up[x]):
-            if x != y and up[y] >> x & 1:
-                raise OrderAxiomFailure(
-                    f"relation is not antisymmetric at ({A.labels[x]},{A.labels[y]})"
-                )
-            missing = up[y] & ~up[x]
-            if missing:
-                k = iter_bits(missing)[0]
-                raise OrderAxiomFailure(
-                    f"relation is not transitive at "
-                    f"({A.labels[x]},{A.labels[y]},{A.labels[k]})"
-                )
-        if not up[x] >> A.unit & 1:
-            raise OrderAxiomFailure(f"unit is not above {A.labels[x]}")
-    P = Poset.closed(A.labels, up, A.down)
+    n, cells = A.n, A.cells
+    try:
+        P = Poset(A.labels, A.up)
+    except (ValueError, NotAntisymmetric, NotTransitive) as exc:
+        raise OrderAxiomFailure(str(exc)) from None
+    not_below = P.full & ~P.down[A.unit]
+    if not_below:
+        raise OrderAxiomFailure(f"unit is not above {A.labels[iter_bits(not_below)[0]]}")
     for x in range(n):
         for y in iter_bits(P.down[x]):
             cell = cells[x][y]

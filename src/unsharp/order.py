@@ -61,12 +61,13 @@ def extremal(mask: int, cones: Sequence[int]) -> int:
 
 
 def checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
-    """``labels`` as a tuple, once every label is non-empty and seen once;
-    otherwise the first offender in order is named.  The one label check."""
+    """``labels`` as a tuple, once every label is a non-empty string seen
+    once; otherwise the first offender in order is named.  The one label
+    check."""
     labels = tuple(labels)
-    if len(set(labels)) != len(labels) or not all(labels):
+    if not all(isinstance(lab, str) and lab for lab in labels) or len(set(labels)) != len(labels):
         for i, lab in enumerate(labels):
-            if not lab:
+            if not isinstance(lab, str) or not lab:
                 raise ValueError("labels must be non-empty strings")
             if lab in labels[:i]:
                 raise DuplicateLabel(f"duplicate label {lab!r}")
@@ -191,9 +192,6 @@ class Poset:
     def le(self, i: int, j: int) -> bool:
         self.mask_of((i, j))  # rejects an index outside the carrier
         return bool(self.up[i] >> j & 1)
-
-    def lt(self, i: int, j: int) -> bool:
-        return self.le(i, j) and i != j
 
     def lower_mask(self, mask: int) -> int:
         """Common lower cone of the elements in ``mask`` (whole carrier for the empty set)."""

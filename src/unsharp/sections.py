@@ -46,19 +46,15 @@ class SectionTable:
     up: tuple[int, ...]
     down: tuple[int, ...]
     top: int | None
-    bottom: int | None
     entries: dict[tuple[int, int], int]
     missing: tuple[tuple[int, int], ...]
 
     def __init__(self, P: Poset, entries: dict[tuple[int, int], int], missing=()):
         self.__dict__.update(labels=P.labels, up=P.up, down=P.down, top=P.top,
-                             bottom=P.bottom, entries=entries, missing=missing)
+                             entries=entries, missing=missing)
 
     def get(self, x: int, y: int) -> int | None:
         return self.entries.get((x, y))
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     @cached_property
     def arrow(self) -> tuple[tuple[int, ...], ...]:

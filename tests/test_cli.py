@@ -59,6 +59,23 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text, outcome", [
+    ("poset a\x0c\nelements: x\ncovers: x<<y\n", "line 3: malformed cover 'x<<y' (want lo<hi)"),
+    ("poset a\nelements: x\u2028y z\ncovers: x<y\n", ("x", "y", "z")),
+    ("poset a\nelements: x y\ncovers: x<y\x85\nbogus\n", "line 4: unrecognised line 'bogus'"),
+    ("poset a\r\nelements: x\r\ncovers: x<<y\r\n", "line 3: malformed cover 'x<<y' (want lo<hi)"),
+])
+def test_lines_end_at_newline_only(text, outcome):
+    # str.splitlines() also breaks at \x0c, U+2028 and \x85; the parser
+    # counts "\n" only and strips the rest as whitespace
+    try:
+        docs = parse_poset_file(text)
+    except ParseError as exc:
+        assert str(exc) == outcome
+    else:
+        assert docs[0].labels == outcome
+
+
 def test_tables_golden_bytes(capsys):
     for stem, kind in [
         ("pentagon", "xy"), ("pentagon", "imp"),
@@ -240,6 +257,7 @@ def test_exit_codes_on_bad_files(capsys, tmp_path):
 @pytest.mark.parametrize("data, line", [
     (b"\xff", 1),
     (b"poset p\r\nelements: a \xc3\r\ncovers: a<a\n", 2),
+    (b"poset p\x0c\nelements: a \xc3\n", 2),
 ])
 def test_non_utf8_input_is_an_input_error(capsys, tmp_path, data, line):
     path = tmp_path / "latin.poset"

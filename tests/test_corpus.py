@@ -159,7 +159,7 @@ def test_filter_pc_sections_small():
     # of the three labeled two-point posets only the two chains survive
     assert len(kept) == 2
     for P, table in kept:
-        assert P.top is not None and len(table) == 3
+        assert P.top is not None and len(table.entries) == 3
 
 
 def test_filter_keeps_crown_drops_topless(crown):

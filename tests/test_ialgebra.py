@@ -6,8 +6,11 @@ from unsharp import (
     DuplicateLabel,
     IAlgebra,
     NonSingletonSection,
+    NotAntisymmetric,
     NotPseudocomplementedSections,
+    NotTransitive,
     OrderAxiomFailure,
+    Poset,
     PosetError,
     SectionMismatch,
     UnknownLabel,
@@ -207,6 +210,29 @@ def test_rebuild_matches_oracle_on_single_cell_mutants(pc_corpus):
             assert rebuild_outcome(poset_of, M) == rebuild_outcome(naive_rebuild, M)
 
 
+def test_rebuild_order_failures_are_the_constructors(pc_corpus):
+    # one message family: the checked Poset constructor's, or the unit check's
+    seen = set()
+    for P, _ in pc_corpus:
+        if P.n > 4:
+            continue
+        for M in single_cell_mutants(algebra_of(P)):
+            error, message = rebuild_outcome(poset_of, M)[:2]
+            if error is not OrderAxiomFailure:
+                continue
+            try:
+                Poset(M.labels, M.up)
+            except (ValueError, NotAntisymmetric, NotTransitive) as exc:
+                expected = str(exc)
+                seen.add(type(exc))
+            else:
+                below = [x for x in range(M.n) if not M.up[x] >> M.unit & 1]
+                expected = f"unit is not above {M.labels[below[0]]}"
+                seen.add("unit")
+            assert message == expected
+    assert seen == {ValueError, NotAntisymmetric, NotTransitive, "unit"}
+
+
 def test_poset_of_returns_the_rebuilt_posets_own_table(pc_corpus):
     # one table per rebuilt poset: the complete one its sections settled
     for P, _ in pc_corpus:
@@ -298,7 +324,8 @@ def test_labels_are_checked_and_kept_as_a_tuple():
         assert A.labels == ("a", "b")
         assert A == build(("a", "b"), rows, 1)
         assert hash(A) == hash(build(("a", "b"), rows, 1))
-        with pytest.raises(ValueError, match="^labels must be non-empty strings$"):
-            build(["", "b"], rows, 1)
+        for labels in (["", "b"], [3, "b"], ["a", b"b"]):
+            with pytest.raises(ValueError, match="^labels must be non-empty strings$"):
+                build(labels, rows, 1)
         with pytest.raises(DuplicateLabel, match="^duplicate label 'a'$"):
             build(["a", "a"], rows, 1)

@@ -77,6 +77,12 @@ def test_label_errors_name_the_first_offender():
         Poset(["a", "", "a"], [1, 2, 4])
     with pytest.raises(ValueError, match=r"^labels must be non-empty strings$"):
         Poset(["a", ""], [1, 2])
+    # a label that is not a string is rejected, even an unhashable one
+    for labels in ([1, 2], ["a", b"b"], ["a", ["b"]], ["a", 3, "a"]):
+        with pytest.raises(ValueError, match=r"^labels must be non-empty strings$"):
+            Poset(labels, [1 << i for i in range(len(labels))])
+    with pytest.raises(DuplicateLabel, match=r"^duplicate label 'a'$"):
+        Poset(["a", "a", 3], [1, 2, 4])
 
 
 def test_builders_check_labels_before_their_pairs():
