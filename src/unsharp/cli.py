@@ -10,7 +10,10 @@ File grammar (line oriented, UTF-8)::
 share a file (each starts at its ``poset`` header), and ``elements:`` /
 ``covers:`` lines may repeat and accumulate.  A label is any run of
 non-blank characters without ``<``, ``{``, ``}`` or ``,``, other than
-``-`` alone, so that every table cell reads back unambiguously.
+``-`` alone, so that every table cell reads back unambiguously.  A name
+or label must be printable (``str.isprintable``): a control, format or
+other non-printable character in one is a ``ParseError`` at its line, so
+no such character reaches a table, a report or a DOT file.
 
 Table cells are printed as a bare label (singleton), ``{a,b}`` with
 members in declaration order, or ``-`` (undefined).  Exit status: 0
@@ -104,12 +107,16 @@ def parse_poset_file(text: str) -> list[PosetDocument]:
             header_line = lineno
             if not name:
                 raise ParseError("poset header needs a name", lineno)
+            if not name.isprintable():
+                raise ParseError(f"bad name {name!r} (a non-printable character)", lineno)
         elif line.startswith("elements:"):
             if name is None:
                 raise ParseError("elements: before any poset header", lineno)
             for label in line[len("elements:"):].split():
                 if label == "-" or not _RESERVED.isdisjoint(label):
                     raise ParseError(f"bad label {label!r} (no '-', '<', '{{', '}}' or ',')", lineno)
+                if not label.isprintable():
+                    raise ParseError(f"bad label {label!r} (a non-printable character)", lineno)
                 labels.append(label)
         elif line.startswith("covers:"):
             if name is None:
@@ -138,11 +145,17 @@ def _cell_str(P: Poset, cell: frozenset[int] | None) -> str:
     return "{" + ",".join(P.labels[i] for i in sorted(cell)) + "}"
 
 
+def _per_cell(table: OperatorTable, convert) -> list[list]:
+    """``convert`` of every cell of ``table``, called once per distinct cell."""
+    done = {cell: convert(cell) for cell in set().union(*table.cells)}
+    return [[done[cell] for cell in row] for row in table.cells]
+
+
 def render_table(table: OperatorTable) -> str:
     """Fixed-width grid with the operator symbol in the corner."""
     P = table.poset
     corner = TABLE_SYMBOL[table.kind]
-    cells = [[_cell_str(P, table.cells[i][j]) for j in range(P.n)] for i in range(P.n)]
+    cells = _per_cell(table, lambda cell: _cell_str(P, cell))
     wc = max(len(corner), max(len(lab) for lab in P.labels))
     widths = [
         max(len(P.labels[j]), max(len(cells[i][j]) for i in range(P.n)))
@@ -221,8 +234,8 @@ def _table_block(args, P: Poset, name: str) -> str:
         "name": name,
         "kind": args.kind,
         "labels": list(P.labels),
-        "cells": [[None if c is None else [P.labels[i] for i in sorted(c)] for c in row]
-                  for row in table.cells],
+        "cells": _per_cell(table, lambda cell: None if cell is None
+                           else [P.labels[i] for i in sorted(cell)]),
     })
 
 

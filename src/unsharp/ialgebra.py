@@ -49,9 +49,13 @@ AXIOMS = (
 
 
 def _cell_mask(cell, n: int) -> int:
-    # the bitmask of a cell of elements; 0, which no table accepts, when a
-    # member lies outside the carrier
-    return sum(1 << v for v in cell) if all(0 <= v < n for v in cell) else 0
+    # the bitmask of a cell of elements, each member counted once; 0, which
+    # no table accepts, when the cell is not a collection of carrier indices
+    try:
+        members = set(cell)
+        return sum(1 << v for v in members) if all(0 <= v < n for v in members) else 0
+    except TypeError:
+        return 0
 
 
 @dataclass(frozen=True, init=False)
@@ -107,7 +111,7 @@ class IAlgebra:
         """Copy of the algebra with one cell replaced (for mutation testing)."""
         self.labels_of((x, y))  # a negative index would alias a cell from the end
         rows = [list(row) for row in self.cells]
-        rows[x][y] = _cell_mask(frozenset(value), self.n)
+        rows[x][y] = _cell_mask(value, self.n)
         return IAlgebra.from_cells(self.labels, rows, self.unit)
 
     @cached_property

@@ -9,6 +9,11 @@ Comparison conventions used throughout: a set "equals 1" when it is
 exactly {top}; A <= B between sets means every member of A is below
 every member of B; a set equals an element only when it is that
 singleton.
+
+``operator_table`` builds one grid per kind (cell masks for imp and
+conj, single elements for xy, rel and circ), with one ``greatest_outside``
+per distinct (base, seeds) key and one lower cone per distinct upper-bound
+mask, and makes one frozenset per distinct cell.
 """
 
 from __future__ import annotations
@@ -16,14 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPseudocomplementedSections, NoTopElement
-from .order import Poset, iter_bits
+from .order import Poset, extremal, greatest_outside, iter_bits
 from .reports import CheckReport
-from .sections import (
-    relative_pseudocomplement,
-    section_table,
-    sectional_pseudocomplement,
-    settled_sections,
-)
+from .sections import section_table, settled_sections
 
 KINDS = ("xy", "imp", "conj", "rel", "circ")
 
@@ -68,21 +68,28 @@ def operator_table(P: Poset, kind: str) -> OperatorTable:
     """Full n x n table for one of the operator kinds in ``KINDS``."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if kind == "imp":
-        return OperatorTable(P, kind, section_table(P).algebra.arrow)
-    if kind == "conj":
-        cells = [[frozenset(iter_bits(P.max_mask(dx & dy))) for dy in P.down] for dx in P.down]
+    up, down = P.up, P.down
+    if kind in ("imp", "conj"):
+        grid = (section_table(P).arrow if kind == "imp"
+                else [[extremal(dx & dy, up) for dy in down] for dx in down])
+        sets = {m: frozenset(iter_bits(m)) for m in set().union(*grid)}
     else:
         if kind == "xy":
             if P.top is None:
                 raise NoTopElement("section tables require a top element")
             entries = settled_sections(P).entries
-            values = [[entries.get((x, y)) for y in range(P.n)] for x in range(P.n)]
+            grid = [[entries.get((x, y)) for y in range(P.n)] for x in range(P.n)]
         else:
-            search = relative_pseudocomplement if kind == "rel" else sectional_pseudocomplement
-            values = [[search(P, x, y) for y in range(P.n)] for x in range(P.n)]
-        cells = [[None if z is None else frozenset((z,)) for z in row] for row in values]
-    return OperatorTable(P, kind, tuple(map(tuple, cells)))
+            # the (base, seeds) search of relative_ or sectional_pseudocomplement
+            if kind == "rel":
+                keys = [[(P.full, dx & ~dy) for dy in down] for dx in down]
+            else:
+                lower = {ub: P.lower_mask(ub) for ub in {ux & uy for ux in up for uy in up}}
+                keys = [[(uy, lower[ux & uy] & ~dy) for uy, dy in zip(up, down)] for ux in up]
+            found = {key: greatest_outside(*key, up, down) for key in set().union(*keys)}
+            grid = [[found[key] for key in row] for row in keys]
+        sets = {z: None if z is None else frozenset((z,)) for z in set().union(*grid)}
+    return OperatorTable(P, kind, tuple(tuple(map(sets.__getitem__, row)) for row in grid))
 
 
 def implication_properties_report(P: Poset, all_witnesses: bool = False) -> CheckReport:

@@ -243,6 +243,27 @@ def test_dot_escapes_backslash_and_quote(capsys, tmp_path):
     ]
 
 
+def test_control_characters_in_a_name_or_label_are_input_errors(capsys, tmp_path):
+    hostile = tmp_path / "hostile.poset"
+    hostile.write_text("poset a\x00\nelements: x\x00y z\ncovers: x\x00y<z\n", encoding="utf-8")
+    for command in ("dot", "tables", "check"):
+        assert run(capsys, command, str(hostile)) == (
+            2, "", "error: line 1: bad name 'a\\x00' (a non-printable character)\n")
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x7f", "\x85", "\u200b"])
+def test_non_printable_names_and_labels_are_rejected(char):
+    with pytest.raises(ParseError, match=r"^line 1: bad name .* \(a non-printable character\)$"):
+        parse_poset_file(f"poset a{char}b\nelements: x\n")
+    text = f"poset a\nelements: x{char}y z\n"
+    if char.isspace():  # U+0085 separates labels like any other whitespace
+        assert parse_poset_file(text)[0].labels == ("x", "y", "z")
+        return
+    with pytest.raises(ParseError) as err:
+        parse_poset_file(text)
+    assert str(err.value) == f"line 2: bad label {'x' + char + 'y'!r} (a non-printable character)"
+
+
 def test_exit_codes_on_bad_files(capsys, tmp_path):
     code, _, err = run(capsys, "tables", str(DATA / "broken.poset"))
     assert code == 2 and "line 3" in err

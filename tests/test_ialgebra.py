@@ -315,6 +315,21 @@ def test_from_cells_validates_like_the_constructor():
     assert IAlgebra.from_cells(labels, [list(row) for row in good[1]], 1) == A
 
 
+@pytest.mark.parametrize("cell", [5, {"a"}, [0.0], [[0]]])
+def test_a_cell_that_is_no_set_of_indices_is_a_value_error(cell):
+    with pytest.raises(ValueError, match="^arrow cells must be non-empty carrier subsets$"):
+        IAlgebra(["a"], [[cell]], 0)
+    A = IAlgebra(["a"], [[{0}]], 0)
+    with pytest.raises(ValueError, match="^arrow cells must be non-empty carrier subsets$"):
+        A.with_cell(0, 0, cell)
+
+
+def test_a_repeated_member_counts_once():
+    one = frozenset((1,))
+    A = IAlgebra(["a", "b"], [[one, one], [[0, 0], one]], 1)
+    assert A.arrow == ((one, one), (frozenset((0,)), one))
+
+
 def test_labels_are_checked_and_kept_as_a_tuple():
     one = frozenset((1,))
     arrow = ((one, one), (frozenset((0,)), one))

@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+
+import unsharp.operators
 
 from unsharp import (
     NoBottomElement,
@@ -22,7 +26,7 @@ from unsharp import (
     sectional_pseudocomplement,
     verify_pseudocomplemented_sections,
 )
-from unsharp.cli import render_table
+from unsharp.cli import parse_poset_file, render_table
 from unsharp.operators import KINDS
 
 from conftest import (
@@ -257,10 +261,27 @@ def test_searches_and_tables_match_oracles_on_small_posets():
             check_searches_and_tables(P)
 
 
+# multi-member imp and conj cells and an undefined rel cell
+NINE = parse_poset_file((Path(__file__).parent / "data" / "nine.poset").read_text())[0].build()
+
+
 @settings(max_examples=12, deadline=None)
 @given(posets(max_n=16, min_n=9))
+@example(NINE)
 def test_searches_and_tables_match_oracles_on_large_posets(P):
     check_searches_and_tables(P)
+
+
+def test_rel_and_circ_search_each_distinct_key_once(monkeypatch):
+    calls = []
+    search = unsharp.operators.greatest_outside
+    monkeypatch.setattr(unsharp.operators, "greatest_outside",
+                        lambda base, seeds, *rows: calls.append((base, seeds))
+                        or search(base, seeds, *rows))
+    for kind in ("rel", "circ"):
+        calls.clear()
+        operator_table(NINE, kind)
+        assert len(calls) == len(set(calls)) < NINE.n ** 2, kind
 
 
 def value_or_error(call, *args):
