@@ -89,10 +89,11 @@ class Poset:
     """Immutable finite poset over labelled elements.
 
     Two constructors, one per source of rows.  ``Poset(labels, up)`` is
-    for rows from outside: it checks the labels and that ``up`` is
-    reflexive, antisymmetric and transitive, and raises at the first
-    failure (reflexivity at each element, then for each i and each j
-    above it antisymmetry of (i, j) and transitivity through j).
+    for rows from outside: it checks the labels, that every row is an
+    ``int`` (a ``ValueError`` naming the first row that is not), and that
+    ``up`` is reflexive, antisymmetric and transitive, and raises at the
+    first failure (reflexivity at each element, then for each i and each
+    j above it antisymmetry of (i, j) and transitivity through j).
     ``Poset.closed(labels, up, down)`` is for rows the library closed
     itself and checks nothing.
 
@@ -111,6 +112,9 @@ class Poset:
         if len(up) != n:
             raise ValueError("relation has a different size than the label list")
         checked_labels(labels)
+        for i, row in enumerate(up):
+            if type(row) is not int:
+                raise ValueError(f"row {i} is not an integer")
         full = (1 << n) - 1
         down = [0] * n
         for i, row in enumerate(up):

@@ -10,6 +10,7 @@ does, and that none of these links makes a reference cycle.
 """
 
 import gc
+import itertools
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from unsharp import (
     IAlgebra,
     Poset,
     PosetError,
+    SectionMismatch,
     SectionTable,
     algebra_of,
     axioms_report,
@@ -46,6 +48,7 @@ from unsharp.order import iter_bits
 
 from test_cli_golden import COMMANDS
 from test_ialgebra import single_cell_mutants
+from test_mask_laws import corrupted
 
 DATA = Path(__file__).parent / "data"
 # a 9-point document of the CLI benchmark's generated files
@@ -223,6 +226,74 @@ def test_with_cell_shares_no_cached_view(pentagon):
     assert M.cells != A.cells and M.up != A.up and M.down != A.down
     assert failure(lambda: poset_of(M)) == failure(lambda: poset_of(twin)) is not None
     assert (A.cells, A.up, A.down, poset_of(A)) == views
+
+
+@pytest.mark.parametrize("name", ["pentagon", "crown"])
+def test_a_mutant_keeping_the_unit_relation_searches_nothing(searches, request, name):
+    A = algebra_of(fresh(request.getfixturevalue(name)))
+    parent, _ = poset_of(A)
+    kept = changed = 0
+    for M in single_cell_mutants(A):
+        searches.clear()
+        rebuild = failure(lambda: poset_of(M))
+        assert failure(lambda: roundtrip_check(M, True)) == rebuild
+        if M.up == A.up:
+            assert searches == [] and M.order is parent
+            if rebuild is None:
+                assert poset_of(M)[0] is poset_of(A)[0]
+                kept += 1
+        elif rebuild is None or rebuild[0] is SectionMismatch:
+            # a changed relation settles its own order, each pair once
+            assert M.order is not parent and searches == each_pair_once(M.order)
+            changed += 1
+        else:
+            assert searches == []  # failed before any section was settled
+    assert kept and changed
+
+
+def scanned_roundtrips(P: Poset) -> dict:
+    """The all-witness lists of both roundtrips of ``P``, by the element scan
+    alone, or the error the rebuild raises."""
+    table = section_table(P)
+    A = table.algebra
+    try:
+        back, back_table = poset_of(A)
+    except PosetError as exc:
+        return type(exc), str(exc)
+    keys = sorted(set(table.entries) | set(back_table.entries))
+    scans = {
+        "order": [(x, y) for x in range(P.n) for y in iter_bits(P.up[x] ^ back.up[x])],
+        "sections": [key for key in keys if table.get(*key) != back_table.get(*key)],
+        "arrow": [(x, y) for x in range(A.n) for y in range(A.n)
+                  if back_table.arrow[x][y] != A.cells[x][y]],
+    }
+    return {law: [P.labels_of(w) for w in found] for law, found in scans.items()}
+
+
+def roundtrip_lists(P: Poset) -> dict:
+    """The all-witness lists of both roundtrips of ``P``, or the error raised."""
+    try:
+        reports = roundtrip_check(P, True), roundtrip_check(section_table(P).algebra, True)
+    except PosetError as exc:
+        return type(exc), str(exc)
+    return {v.law: list(v.witnesses) for report in reports for v in report.verdicts}
+
+
+def test_roundtrips_on_corrupted_tables_match_the_element_scan(pc_corpus):
+    failed = set()
+    for P, _ in pc_corpus:
+        if P.n > 4:
+            continue
+        for x, y, bit in itertools.product(*[range(P.n)] * 3):
+            value = section_table(P).arrow[x][y] ^ 1 << bit
+            if not value:
+                continue
+            # two copies, so the reports reuse nothing the scan derived
+            expected = scanned_roundtrips(corrupted(P, "arrow", x, y, value))
+            assert roundtrip_lists(corrupted(P, "arrow", x, y, value)) == expected, (P, x, y)
+            if isinstance(expected, dict):
+                failed |= {law for law, found in expected.items() if found}
+    assert failed == {"order", "sections", "arrow"}
 
 
 def test_nothing_is_left_to_the_cycle_collector(capsys):

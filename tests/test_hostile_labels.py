@@ -1,12 +1,16 @@
-"""Hostile labels either build or raise the documented error, never a bare TypeError.
+"""Hostile labels, rows and units either build or raise the documented
+error, never a bare TypeError.
 
 The label check (``checked_labels``) and the constructors that share it
 (``Poset``, ``IAlgebra``) accept every non-empty string seen once and
 name the first offender otherwise: ``ValueError`` for a label that is not
-a non-empty string, ``DuplicateLabel`` for a repeat.  The file parser
-also rejects ``-`` alone, the reserved characters ``<{},`` and any
-non-printable character with a ``ParseError``; whitespace (including
-U+0085 and U+2028) separates labels.
+a non-empty string, ``DuplicateLabel`` for a repeat.  ``Poset`` names
+the first row that is not an ``int`` before it checks any row, and both
+``IAlgebra`` constructors reject a unit that is not an ``int`` index of
+the carrier (a ``bool`` included) as "unit must be a carrier element".
+The file parser also rejects ``-`` alone, the reserved characters
+``<{},`` and any non-printable character with a ``ParseError``;
+whitespace (including U+0085 and U+2028) separates labels.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ non_strings = st.one_of(
     st.lists(st.text(max_size=1), max_size=1), st.tuples(st.text(max_size=1)),
 )
 label_lists = st.lists(st.one_of(hostile_strings, non_strings), min_size=1, max_size=5)
+non_ints = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2),
+    st.binary(max_size=2), st.lists(st.integers(0, 3), max_size=2),
+)
 
 
 def documented_error(labels) -> tuple[type, str] | None:
@@ -63,6 +71,31 @@ def test_constructors_build_or_name_the_first_bad_label(labels):
     want = documented_error(labels) or tuple(labels)
     for name, build in BUILDERS.items():
         assert outcome(build, labels) == want, name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.integers(-1, 7), non_ints), min_size=1, max_size=3))
+def test_poset_names_the_first_row_that_is_no_int(rows):
+    labels = [f"e{i}" for i in range(len(rows))]
+    got = outcome(lambda labels: Poset(labels, rows).up, labels)
+    bad = [i for i, row in enumerate(rows) if type(row) is not int]
+    if bad:
+        assert got == (ValueError, f"row {bad[0]} is not an integer")
+    elif not isinstance(got[0], type):
+        assert got == tuple(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(-2, 3), non_ints))
+def test_algebra_rejects_a_unit_that_is_no_carrier_index(unit):
+    labels = ["a", "b"]
+    for build, rows in ((IAlgebra, [[{0}, {0}], [{1}, {0, 1}]]),
+                        (IAlgebra.from_cells, [[1, 1], [2, 3]])):
+        got = outcome(lambda labels: build(labels, rows, unit).unit, labels)
+        if type(unit) is int and 0 <= unit < len(labels):
+            assert got == unit
+        else:
+            assert got == (ValueError, "unit must be a carrier element")
 
 
 def plain(label: str) -> bool:

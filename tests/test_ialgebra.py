@@ -17,6 +17,8 @@ from unsharp import (
     algebra_of,
     axioms_report,
     build_from_covers,
+    enumerate_canonical,
+    filter_pc_sections,
     poset_of,
     roundtrip_check,
     section_table,
@@ -210,6 +212,60 @@ def test_rebuild_matches_oracle_on_single_cell_mutants(pc_corpus):
             assert rebuild_outcome(poset_of, M) == rebuild_outcome(naive_rebuild, M)
 
 
+def raised_or(call):
+    """What ``call()`` returns, or the type and message of the PosetError it raises."""
+    try:
+        return call()
+    except PosetError as exc:
+        return type(exc), str(exc)
+
+
+def views(A) -> tuple:
+    """Every view a mutant shares or derives, and every report read from them."""
+    return (
+        A.cells, A.up, A.down,
+        raised_or(lambda: (A.order.labels, A.order.up, A.order.down)),
+        rebuild_outcome(poset_of, A),
+        axioms_report(A, all_witnesses=True).as_dict(),
+        raised_or(lambda: roundtrip_check(A, True).as_dict()),
+        raised_or(lambda: roundtrip_check(poset_of(A)[0], True).as_dict()),
+    )
+
+
+def sharing(child, parent) -> tuple[bool, bool, bool]:
+    """Whether the fresh mutant ``child`` keeps its parent's unit relation,
+    whether that relation is an order, and whether ``child`` shares it."""
+    shared = child.__dict__.get("order")
+    order = raised_or(lambda: parent.order)
+    return child.up == parent.up, isinstance(order, Poset), shared is not None and shared is order
+
+
+def test_mutants_match_fresh_twins():
+    # every pc class on at most 4 points, each single-cell mutant of its
+    # table, and one second-generation mutant of each: a mutant that shares
+    # its parent's relation, order and sections answers as a fresh twin
+    seen = set()
+    for n in range(1, 5):
+        for P, _ in filter_pc_sections(P for P, _ in enumerate_canonical(n)):
+            A = algebra_of(P)
+            parent = views(A)
+            for k, M in enumerate(single_cell_mutants(A)):
+                seen.add(sharing(M, A))
+                # the second edit comes first: with_cell builds the order M shares
+                x, y = k % n, k // n % n
+                cell = M.cells[x][y] ^ 1 << (k // n // n) % n or 1 << M.unit
+                M2 = M.with_cell(x, y, iter_bits(cell))
+                seen.add(sharing(M2, M))
+                first = views(M)
+                assert first == views(IAlgebra(M.labels, M.arrow, M.unit)), (P, k)
+                assert views(M2) == views(IAlgebra(M2.labels, M2.arrow, M2.unit)), (P, k)
+                assert views(M) == first
+            assert views(A) == parent
+    # (relation kept, parent's relation an order, parent's order shared)
+    assert seen == {(True, True, True), (False, True, False), (True, False, False),
+                    (False, False, False)}
+
+
 def test_rebuild_order_failures_are_the_constructors(pc_corpus):
     # one message family: the checked Poset constructor's, or the unit check's
     seen = set()
@@ -322,6 +378,14 @@ def test_a_cell_that_is_no_set_of_indices_is_a_value_error(cell):
     A = IAlgebra(["a"], [[{0}]], 0)
     with pytest.raises(ValueError, match="^arrow cells must be non-empty carrier subsets$"):
         A.with_cell(0, 0, cell)
+
+
+@pytest.mark.parametrize("unit", ["x", 0.0, 1.0, False, True, None, [0]])
+def test_a_unit_that_is_no_int_is_a_value_error(unit):
+    for build, rows in ((IAlgebra, [[{0}, {1}], [{0}, {1}]]),
+                        (IAlgebra.from_cells, [[1, 2], [1, 2]])):
+        with pytest.raises(ValueError, match="^unit must be a carrier element$"):
+            build(["a", "b"], rows, unit)
 
 
 def test_a_repeated_member_counts_once():

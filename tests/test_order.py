@@ -122,6 +122,18 @@ def test_checked_constructor_names_the_first_broken_axiom():
     assert seen == {None, ValueError, NotAntisymmetric, NotTransitive}
 
 
+@pytest.mark.parametrize("labels, up, index", [
+    (["a"], ["x"], 0),
+    (["a"], [1.0], 0),
+    (["a"], [True], 0),
+    (["a", "b"], [1 << 5, None], 1),  # before the range check of row 0
+    (["a", "b"], [0, [1]], 1),        # before the reflexivity check of row 0
+])
+def test_a_row_that_is_no_int_is_named(labels, up, index):
+    with pytest.raises(ValueError, match=f"^row {index} is not an integer$"):
+        Poset(labels, up)
+
+
 def test_construction_matches_naive_recomputation():
     for n in range(1, 6):
         for P in enumerate_posets(n):
