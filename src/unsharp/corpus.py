@@ -11,16 +11,29 @@ hands the next its closed up and down rows, and every corpus poset is
 built from them by ``Poset.closed`` without transposing them again.
 
 Canonical mode keeps one representative per isomorphism class (the
-lexicographically least incidence encoding over all relabelings) and
+lexicographically least up-row encoding over all relabelings) and
 reports its orbit size, so summing orbits reproduces the labeled count.
-Each call builds one byte table per permutation that maps a row mask to
-its relabeled mask; a relabeling is compared with the poset one row at a
-time, stops at the first row that differs, and rejects the poset when
-that row is smaller.  The identity is never tried, and the other
-relabelings are tried by total displacement, smallest first, because a
-poset that is not least is most often undone by moving few points.
-Kept posets count their automorphisms on the way, starting from the
-identity's one.
+The representatives are grown from the (n - 1)-point ones, by this
+lemma:
+
+- The least encoding lists the points in a reverse linear extension:
+  every point comes after all points above it.  At step i, a point whose
+  strict upper cone is already placed gives a row below 2^(i+1), and a
+  point with an unplaced point above it gives a row of at least 2^(i+1);
+  a point of the first kind always exists (a maximal unplaced point).
+- So the last point is minimal, and no other row holds bit n - 1.  A
+  relabeling that undercuts the first n - 1 rows extends, by fixing the
+  last point, to one that undercuts the whole encoding.
+- Hence every n-point representative is an (n - 1)-point representative
+  plus one minimal point under one of its filters: the empty-ideal
+  branch of the labeled stream (R. C. Read, "Every one a winner", Ann.
+  Discrete Math. 2, 1978).
+
+Each candidate is tested by a depth-first automorphism search that
+places only points whose upper cone is placed, compares each relabeled
+row with the candidate's, rejects on a smaller row, prunes a larger one
+and counts every full placement as an automorphism.  The candidates come
+in the labeled stream's order, so the representatives do too.
 
 The census counts the labeled posets without streaming them: each
 (n - 1)-point poset knows how many one-point extensions it has, one per
@@ -29,7 +42,6 @@ order ideal and per filter that fits above it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
@@ -132,40 +144,68 @@ def enumerate_posets(n: int, force: bool = False) -> Iterator[Poset]:
         yield Poset.closed(labels, up, down)
 
 
+def _least_automorphisms(up: tuple[int, ...]) -> int | None:
+    # None when some relabeling encodes the rows smaller; otherwise the
+    # number of automorphisms.  Points are placed one index at a time, each
+    # once every point above it is placed, so its relabeled row is known:
+    # a smaller row than up[i] undoes the poset, a larger one ends the
+    # branch, an equal one descends
+    n = len(up)
+    full = (1 << n) - 1
+    strict = [row & ~(1 << p) for p, row in enumerate(up)]
+    image = [0] * n  # image[q] is the bit of q's new index once q is placed
+
+    def place(i: int, placed: int) -> int | None:
+        if i == n:
+            return 1
+        target = up[i]
+        count = 0
+        for p in iter_bits(full & ~placed):
+            cone = strict[p]
+            if cone & ~placed:
+                continue  # a point above p is not placed yet
+            row = 1 << i
+            for q in iter_bits(cone):
+                row |= image[q]
+            if row < target:
+                return None
+            if row == target:
+                image[p] = 1 << i
+                found = place(i + 1, placed | 1 << p)
+                if found is None:
+                    return None
+                count += found
+        return count
+
+    return place(0, 0)
+
+
+def _canonical_rows(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    # yields the closed (up, down) rows and the automorphism count of every
+    # n-point representative: each (n - 1)-point representative in its own
+    # order, then the new minimal point under each of its filters,
+    # descending; n = 0 yields the one empty relation
+    if n == 0:
+        yield (), (), 1
+        return
+    bit = 1 << (n - 1)
+    full = bit - 1
+    for body, body_down, _ in _canonical_rows(n - 1):
+        for ideal, _ in _ideals(body, body_down):
+            flt = full & ~ideal
+            up = body + (bit | flt,)
+            automorphisms = _least_automorphisms(up)
+            if automorphisms is not None:
+                down = tuple([row | bit if flt >> y & 1 else row for y, row in enumerate(body_down)])
+                yield up, down + (bit,), automorphisms
+
+
 def enumerate_canonical(n: int, force: bool = False) -> Iterator[tuple[Poset, int]]:
     """Canonical representatives with their orbit sizes under relabeling."""
     labels = _labels(n, force)
     fact = math.factorial(n)
-    # the identity (displacement 0) sorts first and is left out: it fixes
-    # every poset, so the scan starts with one automorphism; the smallest
-    # moves come next, since they reject most posets that are not least
-    perms = sorted(
-        itertools.permutations(range(n)),
-        key=lambda perm: (sum(abs(p - i) for i, p in enumerate(perm)), perm),
-    )[1:]
-    # table[mask] moves bit perm[j] of a row mask to bit j
-    tables = []
-    for perm in perms:
-        table = [0]
-        for k in range(n):
-            bit = 1 << perm.index(k)
-            table += [m | bit for m in table]
-        tables.append((perm, bytes(table)))
-    for up, down in _labeled_relations(n):
-        automorphisms = 1
-        for perm, table in tables:
-            # relabeled row i is table[up[perm[i]]]; the first differing row decides
-            for p, row in zip(perm, up):
-                image = table[up[p]]
-                if image != row:
-                    break
-            else:
-                automorphisms += 1
-                continue
-            if image < row:
-                break
-        else:
-            yield Poset.closed(labels, up, down), fact // automorphisms
+    for up, down, automorphisms in _canonical_rows(n):
+        yield Poset.closed(labels, up, down), fact // automorphisms
 
 
 def filter_pc_sections(stream: Iterable[Poset]) -> Iterator[tuple[Poset, SectionTable]]:

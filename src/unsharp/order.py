@@ -74,15 +74,21 @@ def checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return labels
 
 
+def _index(e, n: int) -> int:
+    # e as an index of an n-point carrier: an int that is no bool, in
+    # range(n), never read from the end
+    if type(e) is not int:
+        raise ValueError(f"element index {e!r} is not an integer")
+    if not 0 <= e < n:
+        raise ValueError(f"element index {e} out of range")
+    return e
+
+
 def labels_at(labels: tuple[str, ...], elems: Iterable[int]) -> tuple[str, ...]:
-    """The labels of the element indices ``elems``, in order; an index
-    outside the carrier is rejected, never read from the end."""
-    out = []
-    for e in elems:
-        if not 0 <= e < len(labels):
-            raise ValueError(f"element index {e} out of range")
-        out.append(labels[e])
-    return tuple(out)
+    """The labels of the element indices ``elems``, in order; an index that
+    is not an ``int`` (a ``bool`` included) or lies outside the carrier is
+    rejected, never read from the end."""
+    return tuple([labels[_index(e, len(labels))] for e in elems])
 
 
 class Poset:
@@ -178,9 +184,7 @@ class Poset:
     def mask_of(self, elems: Iterable[int]) -> int:
         m = 0
         for e in elems:
-            if not 0 <= e < self.n:
-                raise ValueError(f"element index {e} out of range")
-            m |= 1 << e
+            m |= 1 << _index(e, self.n)
         return m
 
     def set_of(self, mask: int) -> tuple[int, ...]:

@@ -12,7 +12,12 @@ from unsharp import (
     relative_pseudocomplement,
 )
 from unsharp import corpus
-from unsharp.corpus import _extension_count, _labeled_relations, _relatively_pseudocomplemented
+from unsharp.corpus import (
+    _extension_count,
+    _labeled_relations,
+    _least_automorphisms,
+    _relatively_pseudocomplemented,
+)
 from unsharp.order import Poset
 
 from conftest import (
@@ -22,6 +27,7 @@ from conftest import (
     naive_corpus_stats,
     naive_labeled_relations,
     naive_order_failure,
+    naive_relabel,
     naive_relative_pc,
 )
 
@@ -141,6 +147,53 @@ def test_canonical_n6_matches_naive_oracle():
     assert len(stream) == 318
     assert sum(orbit for _, orbit in stream) == 130023
     assert stream == list(naive_canonical(6))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_representatives_list_reverse_linear_extensions(n):
+    # every point comes after all points above it: row i holds no bit past i
+    for up, _ in naive_canonical(n):
+        assert all(row < 2 ** (i + 1) for i, row in enumerate(up)), up
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_representatives_grow_from_smaller_representatives(n):
+    # the last point is minimal, so the first n - 1 rows are the body's own
+    smaller = {up for up, _ in naive_canonical(n - 1)}
+    for up, _ in naive_canonical(n):
+        assert up[:-1] in smaller, up
+
+
+def test_automorphism_search_matches_every_relabeling():
+    # on every labeled encoding, least or not, a reverse linear extension or not
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(n)))
+        for up in naive_labeled_relations(n):
+            images = [naive_relabel(up, perm, n) for perm in perms]
+            want = None if min(images) < up else images.count(up)
+            assert _least_automorphisms(up) == want, up
+
+
+def test_canonical_n7_counts():
+    # 2045 unlabeled orders on 7 points (OEIS A000112), 6129859 labeled (A001035)
+    stream = list(enumerate_canonical(7, force=True))
+    assert len(stream) == 2045
+    assert sum(orbit for _, orbit in stream) == 6129859
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonical_never_streams_labeled_posets(monkeypatch, n):
+    # the representatives grow from smaller representatives, never from the labeled stream
+    requested = []
+    stream = corpus._labeled_relations
+
+    def recording(k):
+        requested.append(k)
+        return stream(k)
+
+    monkeypatch.setattr(corpus, "_labeled_relations", recording)
+    list(enumerate_canonical(n))
+    assert requested == []
 
 
 def test_size_guards():

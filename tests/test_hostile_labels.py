@@ -8,6 +8,8 @@ a non-empty string, ``DuplicateLabel`` for a repeat.  ``Poset`` names
 the first row that is not an ``int`` before it checks any row, and both
 ``IAlgebra`` constructors reject a unit that is not an ``int`` index of
 the carrier (a ``bool`` included) as "unit must be a carrier element".
+The element-index readers of both structures name an index that is not
+an ``int`` (a ``bool`` included) before they check its range.
 The file parser also rejects ``-`` alone, the reserved characters
 ``<{},`` and any non-printable character with a ``ParseError``;
 whitespace (including U+0085 and U+2028) separates labels.
@@ -96,6 +98,34 @@ def test_algebra_rejects_a_unit_that_is_no_carrier_index(unit):
             assert got == unit
         else:
             assert got == (ValueError, "unit must be a carrier element")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.integers(-2, 3), non_ints), min_size=1, max_size=3))
+def test_index_readers_take_only_int_carrier_indices(elems):
+    P = Poset(["a", "b"], [3, 2])
+    A = IAlgebra(["a", "b"], [[{1}, {1}], [{0}, {1}]], 1)
+    readers = {
+        "Poset.mask_of": P.mask_of,
+        "Poset.labels_of": P.labels_of,
+        "IAlgebra.labels_of": A.labels_of,
+        "Poset.le": lambda elems: [P.le(e, e) for e in elems],
+        "IAlgebra.with_cell": lambda elems: [A.with_cell(e, e, {1}).cells[e][e] for e in elems],
+    }
+    # the first index that is no int carrier index, if any, is the one named
+    bad = [e for e in elems if type(e) is not int or not 0 <= e < 2][:1]
+    if not bad:
+        want = None
+    elif type(bad[0]) is not int:
+        want = (ValueError, f"element index {bad[0]!r} is not an integer")
+    else:
+        want = (ValueError, f"element index {bad[0]} out of range")
+    for name, read in readers.items():
+        got = outcome(read, elems)
+        if want is None:
+            assert not (isinstance(got, tuple) and isinstance(got[0], type)), name
+        else:
+            assert got == want, name
 
 
 def plain(label: str) -> bool:

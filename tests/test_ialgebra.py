@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -408,3 +410,17 @@ def test_labels_are_checked_and_kept_as_a_tuple():
                 build(labels, rows, 1)
         with pytest.raises(DuplicateLabel, match="^duplicate label 'a'$"):
             build(["a", "a"], rows, 1)
+
+
+@pytest.mark.parametrize("index", [0.5, 1.0, True, "a"])
+def test_an_algebra_index_that_is_no_int_is_named(index):
+    # True must not edit row 1, nor a float reach a tuple index
+    A = IAlgebra(["a", "b"], [[{1}, {1}], [{0}, {1}]], 1)
+    message = f"^element index {re.escape(repr(index))} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        A.with_cell(index, 0, {0})
+    with pytest.raises(ValueError, match=message):
+        A.with_cell(0, index, {0})
+    with pytest.raises(ValueError, match=message):
+        A.labels_of([index])
+    assert A.labels_of([1, 0]) == ("b", "a")

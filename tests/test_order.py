@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +133,20 @@ def test_checked_constructor_names_the_first_broken_axiom():
 def test_a_row_that_is_no_int_is_named(labels, up, index):
     with pytest.raises(ValueError, match=f"^row {index} is not an integer$"):
         Poset(labels, up)
+
+
+@pytest.mark.parametrize("index", [0.0, 1.0, True, False, "a", None])
+def test_an_index_that_is_no_int_is_named(index):
+    # a float must never reach a shift or a tuple index, nor a bool pass for 0 or 1
+    P = build_from_covers(["a", "b"], [("a", "b")])
+    message = f"^element index {re.escape(repr(index))} is not an integer$"
+    readers = (lambda i: P.le(i, 1), lambda i: P.le(1, i), lambda i: P.join(i, 0),
+               lambda i: P.meet(0, i), lambda i: P.mask_of([i]), lambda i: P.labels_of([0, i]),
+               lambda i: P.restrict([i]))
+    for read in readers:
+        with pytest.raises(ValueError, match=message):
+            read(index)
+    assert (P.mask_of([1]), P.labels_of([1]), P.le(0, 1)) == (2, ("b",), True)
 
 
 def test_construction_matches_naive_recomputation():
